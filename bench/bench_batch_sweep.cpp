@@ -1,5 +1,5 @@
 // Batch-sweep microbenchmark: trials/sec of the sim/batch instance-parallel
-// core against the per-instance RadioEngine path on ONE shared instance.
+// core against the per-instance BroadcastSession path on ONE shared instance.
 //
 // Workload: the Decay (BGI) protocol broadcasting on a G(n, d/n) instance
 // from E1's quick grid (n = 4096, d = ln² n — the paper's "well inside the

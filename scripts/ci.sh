@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification from a clean tree (the line ROADMAP.md pins):
-# configure, build, run the full gtest suite via ctest, then smoke the
-# unified experiment runner — `radio_bench run --all` on a tiny trial budget
+# configure, build, run the full gtest suite via ctest, smoke the repository
+# benchmark (perfbench/test_perfbench.py), then smoke the unified experiment
+# runner — `radio_bench run --all` on a tiny trial budget
 # must emit 18 manifests that scripts/bench_report.py validates. This gates
 # registry completeness and manifest well-formedness, not performance.
 #
@@ -70,6 +71,13 @@ python3 scripts/radio_lint.py \
 # ------------------------------------------------------- build + full ctest
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# ------------------------------------------------------- benchmark smoke
+# The repository benchmark (perfbench/, BENCHMARK.json) compiles the library
+# sources itself; its smoke test builds it and runs every workload at tiny
+# sizes, so a library change that breaks the benchmark's build or its
+# digest/metric checks fails here rather than at benchmark time.
+python3 perfbench/test_perfbench.py
 
 # ------------------------------------------------------------- bench smoke
 SMOKE_DIR="$(mktemp -d)"

@@ -133,6 +133,8 @@ WALLCLOCK_RE = re.compile(
 KERNEL_FILES = (
     "src/sim/channel_kernel.cpp",
     "src/sim/channel_kernel.hpp",
+    "src/sim/round_resolver.cpp",
+    "src/sim/round_resolver.hpp",
     "src/sim/batch/batch_engine.cpp",
     "src/sim/batch/batch_engine.hpp",
     "src/sim/batch/batch_scheduler.cpp",

@@ -2,29 +2,31 @@
 // on-demand ImplicitGnp backend (no materialized graph ever exists).
 //
 // This is the ROADMAP's "service under heavy traffic" experiment run at the
-// scale PR 7 unlocked: decay pipelined depth-2 over LightSession<ImplicitGnp>
-// (analysis/stream_workload.hpp), G(n, 3 ln n / n) — the connectivity-safe
-// density E2's giant mode uses — and horizons long enough that a queue
-// either visibly drains or visibly diverges. The queue-depth trajectory is
+// scale PR 7 unlocked: decay pipelined depth-2 (the real PipelinedAdapter)
+// over BasicStreamSession<ImplicitGnp>, the same session code E16/E17 run on
+// a materialized graph, on G(n, 3 ln n / n) — the connectivity-safe density
+// E2's giant mode uses — and horizons long enough that a queue either
+// visibly drains or visibly diverges. The queue-depth trajectory is
 // recorded per row so the manifest shows the SHAPE of (in)stability, not
 // just the verdict: a stable λ's trajectory plateaus, an unstable one's
 // climbs linearly at λ − μ.
 //
 // The driver always uses the implicit backend regardless of
 // --graph-backend: its reason to exist is the regime where that is the only
-// option. Collision counts are 0 on the light path (documented in
-// stream_workload.hpp); message accounting is exact either way.
+// option. Message accounting and collision counts are exact.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment_registry.hpp"
 #include "analysis/experiments.hpp"
-#include "analysis/stream_workload.hpp"
 #include "analysis/throughput.hpp"
 #include "analysis/trial_runner.hpp"
 #include "graph/implicit_gnp.hpp"
+#include "protocols/streaming_adapters.hpp"
+#include "sim/stream/stream_session.hpp"
 #include "util/stats.hpp"
 
 namespace radio {
@@ -89,7 +91,11 @@ ExperimentResult run_e18_stream_giant(const ExperimentConfig& config) {
           stream_config.seed = cell_seed;
           stream_config.stream = static_cast<std::uint64_t>(t);
           stream_config.trajectory_samples = 4;
-          return run_decay_stream(g, kPipelineDepth, stream_config);
+          const std::unique_ptr<StreamingProtocol> decay =
+              make_pipelined_decay(kPipelineDepth);
+          BasicStreamSession<ImplicitGnp> session(g, ProtocolContext{n, p},
+                                                  *decay, stream_config);
+          return session.run();
         });
     std::vector<double> throughputs, growths;
     std::uint64_t delivered = 0, waiting_end = 0;
@@ -122,8 +128,8 @@ ExperimentResult run_e18_stream_giant(const ExperimentConfig& config) {
               "); queue_traj is trial 0's round:waiting trajectory.");
   result.note(
       "implicit backend only (ignores --graph-backend): the graph is "
-      "sampled on demand per neighborhood query, collisions are not counted "
-      "on this light path.");
+      "sampled on demand per neighborhood query; collisions are counted as "
+      "on every other backend.");
   return result;
 }
 

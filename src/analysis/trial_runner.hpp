@@ -127,7 +127,7 @@ std::vector<double> run_trials_double(int trials, std::uint64_t seed, Fn&& fn) {
 /// instance: the cost model (batch_lanes_for, sim/batch/batch_runner.hpp)
 /// picks the lane count; shared-instance workloads sweep `batch` lanes per
 /// kernel pass, while sparse/oversized/degenerate cases fall back to the
-/// per-instance RadioEngine path below. Trials are chunked two batches per
+/// per-instance BroadcastSession path below. Trials are chunked two batches per
 /// OpenMP task; trial t always draws from Rng::for_stream(seed, t), so
 /// results are byte-identical for ANY batch width and thread count — `batch`
 /// changes wall time, never data.

@@ -28,18 +28,17 @@
 // the emitted schedule is *legal*: every scheduled transmitter is informed
 // by the time it transmits.
 //
-// Backend-agnostic since the implicit-graph refactor: the builder is
-// templated on GraphBackend and simulates its own rounds through
-// LightSession below instead of a full BroadcastSession — it only ever
-// schedules informed transmitters on a fault-free channel, for which the
-// exactly-one-transmitting-neighbor delivery rule reduces to bitset algebra
-// (see LightSession::step). On the materialized Graph this reproduces the
-// engine-backed builder bit for bit; on ImplicitGnp it runs without ever
+// Backend-agnostic: the builder is templated on GraphBackend and simulates
+// its own rounds through BasicBroadcastSession<G> (sim/session.hpp), whose
+// channel rule is the shared RoundResolver. It schedules only informed
+// transmitters on a fault-free channel (asserted per emitted round), so the
+// resolver decides every round as once & ~twice & ~informed with no sender
+// lookup; the phase-2 look-ahead folds candidate samples through a second
+// resolver of its own. On ImplicitGnp the builder runs without ever
 // materializing an edge list.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -51,8 +50,9 @@
 #include "graph/bfs.hpp"
 #include "graph/covering.hpp"
 #include "graph/graph.hpp"
-#include "sim/channel_kernel.hpp"
+#include "sim/round_resolver.hpp"
 #include "sim/schedule.hpp"
+#include "sim/session.hpp"
 #include "util/assert.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
@@ -108,160 +108,19 @@ struct CentralizedResult {
   CentralizedBuildReport report;
 };
 
-/// The builder's private broadcast simulator. A full BroadcastSession tracks
-/// faults, losses, observations and per-round statistics the builder never
-/// reads; LightSession keeps exactly the informed-set evolution. Because the
-/// builder only ever schedules INFORMED transmitters (asserted per step) on
-/// a fault-free channel, RadioEngine's delivery rule — a listener receives
-/// iff it is uninformed, not transmitting, and has exactly one transmitting
-/// neighbor — collapses to
-///
-///     newly = once & ~twice & ~informed
-///
-/// (transmitters ⊆ informed, so ~informed already excludes them). Both the
-/// sparse sweep and the word-parallel dense fold below are exact, and for
-/// the materialized Graph the informed evolution is bit-identical to the
-/// BroadcastSession the builder previously drove.
-template <GraphBackend G>
-class LightSession {
- public:
-  LightSession(const G& g, NodeId source)
-      : g_(&g),
-        informed_(g.num_nodes()),
-        once_(g.num_nodes()),
-        twice_(g.num_nodes()) {
-    RADIO_EXPECTS(source < g.num_nodes());
-    informed_.set(source);
-    informed_count_ = 1;
-  }
-
-  void step(std::span<const NodeId> transmitters) {
-    once_.clear_all();
-    twice_.clear_all();
-    bool dense = false;
-    if constexpr (std::is_same_v<G, Graph>) {
-      dense = dense_round_pays(g_->num_nodes(), transmitters.size(),
-                               sum_transmitter_degrees(*g_, transmitters));
-    }
-    if constexpr (std::is_same_v<G, Graph>) {
-      if (dense) {
-        const std::size_t wpr = g_->bitmap_words_per_row();
-        for (NodeId t : transmitters) {
-          RADIO_EXPECTS(informed_.test(t));
-          accumulate_hits_words(once_.words().data(), twice_.words().data(),
-                                g_->adjacency_row(t).data(), wpr);
-        }
-      }
-    }
-    if (!dense) {
-      for (NodeId t : transmitters) {
-        RADIO_EXPECTS(informed_.test(t));
-        for (NodeId w : g_->neighbors(t)) {
-          if (once_.test(w))
-            twice_.set(w);
-          else
-            once_.set(w);
-        }
-      }
-    }
-    const std::span<const std::uint64_t> once_w = once_.words();
-    const std::span<const std::uint64_t> twice_w = twice_.words();
-    const std::span<std::uint64_t> informed_w = informed_.words();
-    std::size_t newly = 0;
-    for (std::size_t i = 0; i < once_w.size(); ++i) {
-      const std::uint64_t fresh = once_w[i] & ~twice_w[i] & ~informed_w[i];
-      newly += static_cast<std::size_t>(std::popcount(fresh));
-      informed_w[i] |= fresh;
-    }
-    informed_count_ += newly;
-    last_newly_ = newly;
-  }
-
-  bool informed(NodeId v) const noexcept { return informed_.test(v); }
-  std::size_t informed_count() const noexcept { return informed_count_; }
-  bool complete() const noexcept {
-    return informed_count_ == static_cast<std::size_t>(g_->num_nodes());
-  }
-  /// Nodes newly informed by the most recent step().
-  std::size_t last_newly() const noexcept { return last_newly_; }
-  const Bitset& informed_set() const noexcept { return informed_; }
-
-  std::vector<NodeId> informed_nodes() const {
-    std::vector<NodeId> out;
-    out.reserve(informed_count_);
-    informed_.collect(out);
-    return out;
-  }
-
-  std::vector<NodeId> uninformed_nodes() const {
-    std::vector<NodeId> out;
-    const NodeId n = g_->num_nodes();
-    out.reserve(static_cast<std::size_t>(n) - informed_count_);
-    for (NodeId v = 0; v < n; ++v)
-      if (!informed_.test(v)) out.push_back(v);
-    return out;
-  }
-
- private:
-  const G* g_;
-  Bitset informed_;
-  Bitset once_;
-  Bitset twice_;
-  std::size_t informed_count_ = 0;
-  std::size_t last_newly_ = 0;
-};
-
 namespace centralized_detail {
 
 /// Counts how many currently uninformed listeners would receive the message
 /// if exactly `sample` (all informed) transmitted — the builder's look-ahead
-/// used to resample unproductive phase-2 rounds before committing them.
-/// Accumulates over the SAMPLE's neighborhoods (O(Σ deg(sample)), the cheap
-/// direction on every backend; the old implementation swept every listener's
-/// neighborhood instead, O(2m) per preview) or over bitmap rows when the
-/// dense cost model pays; both produce exact counts.
+/// used to resample unproductive phase-2 rounds before committing them. The
+/// fold runs on `lookahead`, leaving the session untouched.
 template <GraphBackend G>
-std::size_t preview_new_informed(const G& g, const LightSession<G>& session,
+std::size_t preview_new_informed(const G& g, RoundResolver& lookahead,
+                                 const Bitset& informed,
                                  std::span<const NodeId> sample) {
-  const NodeId n = g.num_nodes();
-  Bitset member(n);
-  Bitset once(n);
-  Bitset twice(n);
-  for (NodeId v : sample) member.set(v);
-
-  bool dense = false;
-  if constexpr (std::is_same_v<G, Graph>) {
-    dense = dense_round_pays(n, sample.size(),
-                             sum_transmitter_degrees(g, sample));
-  }
-  if constexpr (std::is_same_v<G, Graph>) {
-    if (dense) {
-      const std::size_t wpr = g.bitmap_words_per_row();
-      for (NodeId t : sample)
-        accumulate_hits_words(once.words().data(), twice.words().data(),
-                              g.adjacency_row(t).data(), wpr);
-    }
-  }
-  if (!dense) {
-    for (NodeId t : sample) {
-      for (NodeId w : g.neighbors(t)) {
-        if (once.test(w))
-          twice.set(w);
-        else
-          once.set(w);
-      }
-    }
-  }
-
-  const std::span<const std::uint64_t> once_w = once.words();
-  const std::span<const std::uint64_t> twice_w = twice.words();
-  const std::span<const std::uint64_t> informed_w =
-      session.informed_set().words();
-  const std::span<const std::uint64_t> member_w = member.words();
+  lookahead.fold(g, sample);
   std::size_t newly = 0;
-  for (std::size_t i = 0; i < once_w.size(); ++i)
-    newly += static_cast<std::size_t>(std::popcount(
-        once_w[i] & ~twice_w[i] & ~informed_w[i] & ~member_w[i]));
+  lookahead.deliver(g, informed, [&](NodeId) { ++newly; });
   return newly;
 }
 
@@ -314,8 +173,10 @@ CentralizedResult build_centralized_schedule(
   CentralizedBuildReport& report = result.report;
   report.eccentricity = layers.eccentricity();
 
-  LightSession<G> session(g, source);
+  BasicBroadcastSession<G> session(g, source);
+  RoundResolver lookahead(n);
   auto emit = [&](std::vector<NodeId> transmitters, const char* phase) {
+    for (NodeId t : transmitters) RADIO_EXPECTS(session.informed(t));
     session.step(transmitters);
     result.schedule.rounds.push_back(std::move(transmitters));
     result.schedule.phase_of.emplace_back(phase);
@@ -346,7 +207,7 @@ CentralizedResult build_centralized_schedule(
     }
     emit(transmitters, "phase1:parity");
     ++report.phase1_rounds;
-    const bool progressed = session.last_newly() > 0;
+    const bool progressed = session.history().back().newly_informed > 0;
     stagnant = progressed ? 0 : stagnant + 1;
     if (round >= phase1_min && stagnant >= 2) break;
     if (session.complete()) break;
@@ -397,7 +258,8 @@ CentralizedResult build_centralized_schedule(
         std::vector<NodeId> sample =
             centralized_detail::sample_subset(candidates, rate, rng);
         const std::size_t gain =
-            centralized_detail::preview_new_informed(g, session, sample);
+            centralized_detail::preview_new_informed(
+                g, lookahead, session.informed_set(), sample);
         if (gain > best_gain || best.empty()) {
           best_gain = gain;
           best = std::move(sample);

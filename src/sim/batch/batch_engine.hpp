@@ -11,12 +11,12 @@
 // sum, which is where the batch speedup comes from (protocols with
 // overlapping transmitter sets, e.g. flood-like phases, amortize best).
 //
-// Semantics per lane are EXACTLY RadioEngine's (sim/engine.hpp): a listener
-// receives iff precisely one neighbor transmits, ≥ 2 jam, transmitters never
-// receive, and an uninformed unique transmitter still jams delivery of
-// nothing. The differential suite (tests/sim/test_batch_engine.cpp,
-// tests/property/test_batch_equivalence.cpp) pins round-by-round equality
-// against RadioEngine for every lane.
+// Semantics per lane are EXACTLY RoundResolver's (sim/round_resolver.hpp):
+// a listener receives iff precisely one neighbor transmits, ≥ 2 jam,
+// transmitters never receive, and an uninformed unique transmitter still
+// jams delivery of nothing. The differential suite
+// (tests/sim/test_batch_engine.cpp, tests/property/test_batch_equivalence.cpp)
+// pins round-by-round equality against BroadcastSession for every lane.
 //
 // In-round mutation safety: informed bits are set the moment a delivery is
 // classified. This cannot race with the unique-sender resolution of another
@@ -86,7 +86,7 @@ class BatchEngine {
   }
 
   /// Registers v as a transmitter of `lane` for the upcoming step().
-  /// Duplicate (lane, v) pairs are caller bugs, as in RadioEngine.
+  /// Duplicate (lane, v) pairs are caller bugs, as in RoundResolver.
   void add_transmitter(std::uint32_t lane, NodeId v);
 
   /// Bulk form of add_transmitter: registers every node of `vs` for `lane`.

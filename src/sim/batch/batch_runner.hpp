@@ -3,7 +3,7 @@
 // Batching requires trials that share ONE graph (the lane planes are slices
 // over a single adjacency): workloads that sample a fresh G(n,p) per trial
 // (e.g. E1's per-trial instances) are structurally per-instance and use the
-// classic RadioEngine path unchanged. For shared-instance workloads the cost
+// classic BroadcastSession path unchanged. For shared-instance workloads the cost
 // model here decides how many lanes actually pay:
 //
 //   * oversized — lane state grows with n·⌈B/64⌉ plane words plus per-lane

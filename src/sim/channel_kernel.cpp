@@ -1,9 +1,5 @@
 #include "sim/channel_kernel.hpp"
 
-#include <bit>
-
-#include "util/assert.hpp"
-
 namespace radio {
 
 EdgeCount sum_transmitter_degrees(
@@ -11,41 +7,6 @@ EdgeCount sum_transmitter_degrees(
   EdgeCount sum = 0;
   for (NodeId t : transmitters) sum += g.degree(t);
   return sum;
-}
-
-void DenseRoundAccumulator::accumulate(const Graph& g,
-                                       std::span<const NodeId> transmitters) {
-  const NodeId n = g.num_nodes();
-  if (seen_once_.size() != n) {
-    seen_once_ = Bitset(n);
-    seen_twice_ = Bitset(n);
-  } else {
-    seen_once_.clear_all();
-    seen_twice_.clear_all();
-  }
-  const std::span<const std::uint64_t> bitmap = g.adjacency_bitmap();
-  const std::size_t wpr = g.bitmap_words_per_row();
-  std::uint64_t* once = seen_once_.words().data();
-  std::uint64_t* twice = seen_twice_.words().data();
-  for (NodeId t : transmitters) {
-    const std::uint64_t* row =
-        bitmap.data() + static_cast<std::size_t>(t) * wpr;
-    accumulate_hits_words(once, twice, row, wpr);
-  }
-}
-
-NodeId unique_transmitting_neighbor(const Graph& g, const Bitset& transmitting,
-                                    NodeId w) noexcept {
-  const std::span<const std::uint64_t> row = g.adjacency_row(w);
-  const std::span<const std::uint64_t> tx = transmitting.words();
-  for (std::size_t wi = 0; wi < row.size(); ++wi) {
-    const std::uint64_t hit = row[wi] & tx[wi];
-    if (hit != 0)
-      return static_cast<NodeId>(wi * 64 +
-                                 static_cast<std::size_t>(std::countr_zero(hit)));
-  }
-  RADIO_ENSURES(!"exactly-one-hit listener had no transmitting neighbor");
-  return kInvalidNode;
 }
 
 }  // namespace radio

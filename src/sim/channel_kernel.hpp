@@ -1,33 +1,23 @@
-// Word-parallel dense-round channel kernel, shared by RadioEngine,
-// GossipSession and the centralized builder's round preview.
+// Cost model of the word-parallel dense-round fold (sim/round_resolver.hpp).
 //
-// The sparse sweep costs O(Σ deg(t)) neighbor touches per round, which
+// The sparse fold costs O(Σ deg(t)) neighbor touches per round, which
 // degenerates to O(n²) when d = pn is large — exactly the paper's dense
-// regime (§3.1, E8). The kernel instead works on ⌈n/64⌉-word adjacency
-// bitmap rows (Graph::adjacency_row): per transmitter t it folds row(t) into
-// two accumulator bitmaps with the saturating 2-bit counter update
+// regime (§3.1, E8). The dense fold instead ORs ⌈n/64⌉-word adjacency bitmap
+// rows (Graph::adjacency_row) into the round's once/twice accumulators with
+// the saturating 2-bit counter update
 //
 //     seen_twice |= seen_once & row(t);   seen_once |= row(t);
 //
-// after which, for any listener w,
-//     seen_twice[w]                 ⇔ ≥ 2 transmitting neighbors (collision)
-//     seen_once[w] & ~seen_twice[w] ⇔ exactly 1 transmitting neighbor.
-// Unique senders are recovered per exactly-one listener by scanning
-// row(w) & transmitting — rare in the dense regime, where nearly every
-// listener collides.
-//
 // Cost model (dense_round_pays): the sparse sweep touches Σ deg(t) adjacency
-// entries with random 1-byte writes; the kernel moves (|T| + c)·⌈n/64⌉
-// sequential words. Both paths are exact — identical Outcomes, delivered
-// sets and observations — so the choice is purely a performance decision and
-// determinism is preserved regardless of which path runs.
+// entries with random writes; the kernel moves (|T| + c)·⌈n/64⌉ sequential
+// words. Both folds are exact, so the choice is purely a performance
+// decision and determinism is preserved regardless of which one runs.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "graph/graph.hpp"
-#include "util/bitset.hpp"
 
 namespace radio {
 
@@ -59,31 +49,5 @@ inline bool dense_round_pays(NodeId n, std::size_t num_tx,
   if (bitmap_bytes > kDenseBitmapByteLimit) return false;
   return sum_deg > 2 * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
 }
-
-/// The seen_once / seen_twice accumulator pair. Scratch is reused across
-/// rounds; accumulate() clears it first, so a round costs
-/// (|T| + O(1))·⌈n/64⌉ words with no per-round allocation after warm-up.
-class DenseRoundAccumulator {
- public:
-  /// Folds every transmitter's adjacency row into the accumulators
-  /// (building the graph's bitmap cache on first use).
-  void accumulate(const Graph& g, std::span<const NodeId> transmitters);
-
-  std::span<const std::uint64_t> once_words() const noexcept {
-    return seen_once_.words();
-  }
-  std::span<const std::uint64_t> twice_words() const noexcept {
-    return seen_twice_.words();
-  }
-
- private:
-  Bitset seen_once_;
-  Bitset seen_twice_;
-};
-
-/// Recovers the single transmitting neighbor of an exactly-one-hit listener
-/// by scanning row(w) & transmitting word by word.
-NodeId unique_transmitting_neighbor(const Graph& g, const Bitset& transmitting,
-                                    NodeId w) noexcept;
 
 }  // namespace radio

@@ -13,6 +13,8 @@ struct RoundStats {
   std::uint32_t wasted = 0;            ///< already-informed listeners that received again
   std::uint64_t informed_total = 0;    ///< informed nodes after the round
   bool dense_kernel = false;           ///< round ran on the word-parallel path
+
+  bool operator==(const RoundStats&) const = default;
 };
 
 }  // namespace radio

@@ -1,6 +1,5 @@
 #include "sim/schedule.hpp"
 
-#include "sim/session.hpp"
 #include "util/assert.hpp"
 
 namespace radio {

@@ -9,10 +9,9 @@
 
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
+#include "sim/session.hpp"
 
 namespace radio {
-
-class BroadcastSession;
 
 struct Schedule {
   /// rounds[t] = nodes transmitting in round t+1.

@@ -1,119 +1,9 @@
 #include "sim/session.hpp"
 
-#include "sim/session_view.hpp"
-#include "util/assert.hpp"
-
 namespace radio {
 
-SessionView::SessionView(const BroadcastSession& session) noexcept
-    : SessionView(session.graph(), session.informed_set(),
-                  session.informed_rounds(), session.informed_count()) {}
-namespace {
-
-NodeId first_source(std::span<const NodeId> sources) {
-  RADIO_EXPECTS(!sources.empty());
-  return sources.front();
-}
-
-}  // namespace
-
-BroadcastSession::BroadcastSession(const Graph& g, NodeId source)
-    : BroadcastSession(g, source, SessionFaults{}) {}
-
-BroadcastSession::BroadcastSession(const Graph& g,
-                                   std::span<const NodeId> sources,
-                                   SessionFaults faults)
-    : BroadcastSession(g, first_source(sources), std::move(faults)) {
-  for (NodeId s : sources) {
-    RADIO_EXPECTS(s < g.num_nodes());
-    RADIO_EXPECTS(!crashed(s));
-    if (informed_.set_if_clear(s)) {
-      informed_round_[s] = 0;
-      ++informed_count_;
-    }
-  }
-}
-
-BroadcastSession::BroadcastSession(const Graph& g, NodeId source,
-                                   SessionFaults faults)
-    : engine_(g),
-      source_(source),
-      faults_(std::move(faults)),
-      loss_rng_(faults_.seed),
-      informed_(g.num_nodes()),
-      informed_round_(g.num_nodes(), kUnreachable) {
-  RADIO_EXPECTS(source < g.num_nodes());
-  RADIO_EXPECTS(faults_.crashed.size() == 0 ||
-                faults_.crashed.size() == g.num_nodes());
-  RADIO_EXPECTS(faults_.loss >= 0.0 && faults_.loss < 1.0);
-  RADIO_EXPECTS(!crashed(source));
-  informed_.set(source);
-  informed_round_[source] = 0;
-  informed_count_ = 1;
-  alive_count_ = g.num_nodes() -
-                 (faults_.crashed.size() > 0 ? faults_.crashed.count() : 0);
-}
-
-const RoundStats& BroadcastSession::step(
-    std::span<const NodeId> transmitters) {
-  // Crashed nodes have no radio: drop them before the channel sees anything.
-  std::span<const NodeId> effective = transmitters;
-  if (faults_.crashed.size() > 0) {
-    filtered_transmitters_.clear();
-    for (NodeId t : transmitters)
-      if (!faults_.crashed.test(t)) filtered_transmitters_.push_back(t);
-    effective = filtered_transmitters_;
-  }
-
-  delivery_buffer_.clear();
-  const RadioEngine::Outcome outcome =
-      engine_.step(effective, informed_, delivery_buffer_);
-
-  const auto round = static_cast<std::uint32_t>(history_.size() + 1);
-  std::uint32_t delivered_count = 0;
-  for (NodeId w : delivery_buffer_) {
-    if (crashed(w)) continue;  // dead receiver
-    if (faults_.loss > 0.0 && loss_rng_.bernoulli(faults_.loss)) {
-      ++lost_deliveries_;
-      continue;
-    }
-    informed_.set(w);
-    informed_round_[w] = round;
-    ++delivered_count;
-  }
-  informed_count_ += delivered_count;
-
-  RoundStats stats;
-  stats.round = round;
-  stats.transmitters = static_cast<std::uint32_t>(effective.size());
-  stats.newly_informed = delivered_count;
-  stats.collisions = outcome.collisions;
-  stats.wasted = outcome.redundant;
-  stats.informed_total = informed_count_;
-  stats.dense_kernel = engine_.last_path() == RoundPath::kDense;
-  history_.push_back(stats);
-  return history_.back();
-}
-
-std::vector<NodeId> BroadcastSession::informed_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(informed_count_);
-  informed_.collect(out);
-  return out;
-}
-
-std::vector<NodeId> BroadcastSession::uninformed_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(alive_count_ - informed_count_);
-  for (NodeId v = 0; v < graph().num_nodes(); ++v)
-    if (!informed_.test(v) && !crashed(v)) out.push_back(v);
-  return out;
-}
-
-std::uint64_t BroadcastSession::total_collisions() const noexcept {
-  std::uint64_t total = 0;
-  for (const RoundStats& s : history_) total += s.collisions;
-  return total;
-}
+// The materialized-Graph instantiation (body in session.hpp), compiled once
+// here; other backends instantiate their own where they are used.
+template class BasicBroadcastSession<Graph>;
 
 }  // namespace radio

@@ -1,40 +1,36 @@
 // Read-only view of one broadcast's per-node knowledge state — the exact
 // surface a Protocol may consult when selecting transmitters.
 //
-// Protocols used to take `const BroadcastSession&`; narrowing the parameter
-// to this view is what lets the batched simulation core (sim/batch) drive
-// the SAME protocol implementations lane by lane without materializing a
-// full session per lane. The view is a fat pointer (graph + informed set +
-// informed-round array), cheap to construct per round; BroadcastSession
-// converts implicitly so existing call sites compile unchanged.
+// Narrowing protocols to this view is what lets the batched simulation core
+// (sim/batch) drive the SAME protocol implementations lane by lane without
+// materializing a full session per lane. The view is a fat pointer (node
+// count + informed set + informed-round array), cheap to construct per
+// round; sessions convert implicitly so call sites hand them straight to
+// Protocol::select_transmitters. It carries no topology: protocols read the
+// graph only through num_nodes(), so they run unchanged on every backend.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
-#include "graph/graph.hpp"
+#include "graph/backend.hpp"
 #include "util/bitset.hpp"
 
 namespace radio {
 
-class BroadcastSession;
-
 class SessionView {
  public:
-  SessionView(const Graph& g, const Bitset& informed,
+  template <GraphBackend G>
+  SessionView(const G& g, const Bitset& informed,
               std::span<const std::uint32_t> informed_round,
               std::size_t informed_count) noexcept
-      : graph_(&g),
+      : num_nodes_(g.num_nodes()),
         informed_(&informed),
         informed_round_(informed_round),
         informed_count_(informed_count) {}
 
-  /// Implicit on purpose: run_protocol and the tests hand sessions straight
-  /// to Protocol::select_transmitters. Defined in session.cpp.
-  SessionView(const BroadcastSession& session) noexcept;  // NOLINT(runtime/explicit)
-
-  const Graph& graph() const noexcept { return *graph_; }
+  NodeId num_nodes() const noexcept { return num_nodes_; }
 
   bool informed(NodeId v) const noexcept { return informed_->test(v); }
 
@@ -49,7 +45,7 @@ class SessionView {
   const Bitset& informed_set() const noexcept { return *informed_; }
 
  private:
-  const Graph* graph_;
+  NodeId num_nodes_;
   const Bitset* informed_;
   std::span<const std::uint32_t> informed_round_;
   std::size_t informed_count_;

@@ -1,102 +1,9 @@
 #include "sim/stream/stream_session.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
-
 namespace radio {
 
-StreamSession::StreamSession(const Graph& g, const ProtocolContext& ctx,
-                             StreamingProtocol& protocol,
-                             const StreamConfig& config)
-    : g_(&g), ctx_(ctx), protocol_(&protocol), config_(config) {
-  RADIO_EXPECTS(ctx.n == g.num_nodes());
-  RADIO_EXPECTS(ctx.n >= 2);
-  RADIO_EXPECTS(config.rate >= 0.0);
-  RADIO_EXPECTS(config.horizon >= 1);
-}
-
-StreamMetrics StreamSession::run() {
-  RADIO_EXPECTS(!ran_);
-  ran_ = true;
-
-  protocol_->reset(ctx_);
-  const std::uint32_t depth = protocol_->pipeline_depth();
-  RADIO_EXPECTS(depth >= 1);
-  std::vector<Slot> slots(depth);
-
-  PoissonArrivals arrivals(
-      config_.rate, ctx_.n,
-      Rng::for_stream(config_.seed, kArrivalStreamTag | config_.stream));
-  Rng protocol_rng =
-      Rng::for_stream(config_.seed, kProtocolStreamTag | config_.stream);
-
-  StreamMetrics metrics;
-  metrics.rounds = config_.horizon;
-  const std::uint32_t mid = config_.horizon / 2;
-  const std::uint32_t stride =
-      std::max<std::uint32_t>(1, config_.horizon /
-                                     std::max<std::uint32_t>(
-                                         1, config_.trajectory_samples));
-
-  std::vector<NodeId> origins;
-  std::vector<NodeId> transmitters;
-  for (std::uint32_t r = 1; r <= config_.horizon; ++r) {
-    // 1. Arrivals.
-    origins.clear();
-    arrivals.draw(origins);
-    for (const NodeId origin : origins) queue_.enqueue(origin, r);
-
-    // 2. Dispatch into the round's owning slot.
-    const std::uint32_t s = (r - 1) % depth;
-    Slot& slot = slots[s];
-    if (!slot.active && queue_.has_waiting()) {
-      slot.message_id = queue_.start_next(r);
-      slot.session = std::make_unique<BroadcastSession>(
-          *g_, queue_.message(slot.message_id).origin);
-      slot.local_round = 0;
-      slot.active = true;
-      protocol_->on_message_start(s);
-    }
-
-    // 3. Service one local round of the slot's message.
-    if (slot.active) {
-      ++slot.local_round;
-      transmitters.clear();
-      protocol_->select_transmitters(s, slot.local_round, *slot.session,
-                                     protocol_rng, transmitters);
-      slot.session->step(transmitters);
-      metrics.transmissions += transmitters.size();
-
-      // 4. Retire on completion.
-      if (slot.session->complete()) {
-        queue_.mark_delivered(slot.message_id, r);
-        const StreamMessage& m = queue_.message(slot.message_id);
-        metrics.latencies.push_back(r - m.arrival_round);
-        metrics.collisions += slot.session->total_collisions();
-        slot.session.reset();
-        slot.active = false;
-      }
-    }
-
-    metrics.max_waiting =
-        std::max<std::uint64_t>(metrics.max_waiting, queue_.waiting());
-    if (r == mid) metrics.waiting_mid = queue_.waiting();
-    if (r % stride == 0 || r == config_.horizon)
-      metrics.trajectory.push_back(
-          QueueSample{r, queue_.waiting(),
-                      static_cast<std::uint32_t>(queue_.in_flight())});
-  }
-
-  for (const Slot& slot : slots)
-    if (slot.active) metrics.collisions += slot.session->total_collisions();
-
-  metrics.enqueued = queue_.total_enqueued();
-  metrics.delivered = queue_.delivered();
-  metrics.waiting_at_horizon = queue_.waiting();
-  metrics.in_flight_at_horizon =
-      static_cast<std::uint32_t>(queue_.in_flight());
-  return metrics;
-}
+// The materialized-Graph instantiation (body in stream_session.hpp),
+// compiled once here; other backends instantiate their own where used.
+template class BasicStreamSession<Graph>;
 
 }  // namespace radio

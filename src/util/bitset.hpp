@@ -20,8 +20,8 @@ inline constexpr std::size_t words_for_bits(std::size_t n) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Raw word-level primitives used by the dense-round channel kernel
-// (sim/channel_kernel.hpp). They operate on plain word arrays so adjacency
+// Raw word-level primitives used by the round resolver's dense fold
+// (sim/round_resolver.hpp). They operate on plain word arrays so adjacency
 // bitmap rows (spans into Graph's cache) and Bitset storage compose freely.
 // All bits past a bitset's logical size are guaranteed zero by Bitset's
 // mutators, so whole-word sweeps need no tail masking.
@@ -31,11 +31,6 @@ inline constexpr std::size_t words_for_bits(std::size_t n) noexcept {
 inline void or_words(std::uint64_t* dst, const std::uint64_t* src,
                      std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-/// a & ~b — the "listeners only" mask builder.
-inline std::uint64_t andnot(std::uint64_t a, std::uint64_t b) noexcept {
-  return a & ~b;
 }
 
 /// Saturating 2-bit counter update for one transmitter row:

@@ -153,7 +153,7 @@ class ObservingFlood final : public Protocol {
   void reset(const ProtocolContext&) override {}
   void select_transmitters(std::uint32_t, const SessionView& session, Rng&,
                            std::vector<NodeId>& out) override {
-    for (NodeId v = 0; v < session.graph().num_nodes(); ++v)
+    for (NodeId v = 0; v < session.num_nodes(); ++v)
       if (session.informed(v)) out.push_back(v);
   }
 };

@@ -125,8 +125,8 @@ TEST(Manifest, RunnerRejectsUnknownId) {
 }
 
 // Golden compatibility check: running E10 through the registry-driven
-// runner produces byte-identical table, CSV and notes to calling the legacy
-// driver directly with the same config (the path bench_e10 takes).
+// runner produces byte-identical table, CSV and notes to calling the
+// driver function directly with the same config.
 TEST(Manifest, GoldenRunnerMatchesLegacyE10) {
   clear_radio_env();
   ExperimentConfig config;

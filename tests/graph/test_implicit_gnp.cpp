@@ -1,7 +1,8 @@
 // ImplicitGnp: the on-demand G(n,p) backend must be indistinguishable from
 // its materialized twin — same seed, same edges, same neighbor queries, same
-// BFS layers — under repeated and out-of-order access, and byte-stable
-// across instances.
+// BFS layers, same broadcast session — under repeated and out-of-order
+// access, and byte-stable across instances. The stream session on this
+// backend is pinned in tests/analysis/test_stream_workload.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include "graph/bfs.hpp"
 #include "graph/implicit_gnp.hpp"
 #include "graph/random_graph.hpp"
+#include "protocols/decay.hpp"
+#include "sim/session.hpp"
 
 namespace radio {
 namespace {
@@ -151,6 +154,40 @@ TEST(ImplicitGnp, CentralizedBuilderMatchesMaterialized) {
   EXPECT_EQ(on_implicit.schedule.phase_of, on_graph.schedule.phase_of);
   EXPECT_EQ(on_implicit.report.completed, on_graph.report.completed);
   EXPECT_EQ(on_implicit.report.total_rounds, on_graph.report.total_rounds);
+}
+
+TEST(ImplicitGnp, BroadcastSessionMatchesMaterializedTwin) {
+  // The backend-generic BroadcastSession runs unchanged protocols on the
+  // implicit backend and must reproduce the twin's run exactly: every
+  // per-round RoundStats, collisions included. d = 12 keeps the twin on the
+  // sparse fold, so even the dense_kernel flags agree.
+  const NodeId n = 600;
+  const double p = 12.0 / static_cast<double>(n - 1);
+  const ImplicitGnp g(n, p, 103);
+  const Graph twin = g.materialize();
+  const ProtocolContext ctx{n, p};
+
+  auto broadcast = [&](auto& session) {
+    DecayProtocol decay;
+    decay.reset(ctx);
+    Rng rng(5);
+    std::vector<NodeId> tx;
+    for (std::uint32_t round = 1; round <= 400 && !session.complete();
+         ++round) {
+      tx.clear();
+      decay.select_transmitters(round, session, rng, tx);
+      session.step(tx);
+    }
+  };
+  BasicBroadcastSession<ImplicitGnp> on_implicit(g, 0);
+  BroadcastSession on_graph(twin, 0);
+  broadcast(on_implicit);
+  broadcast(on_graph);
+  EXPECT_TRUE(on_graph.complete());
+  EXPECT_GT(on_graph.total_collisions(), 0u);
+  EXPECT_EQ(on_implicit.history(), on_graph.history());
+  EXPECT_TRUE(std::ranges::equal(on_implicit.informed_rounds(),
+                                 on_graph.informed_rounds()));
 }
 
 }  // namespace

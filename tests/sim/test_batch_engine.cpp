@@ -1,6 +1,6 @@
 // BatchEngine unit tests: lane lifecycle (open/reuse), stepping a subset of
 // lanes, SessionView surface, and compaction. The cross-checked semantics
-// (batch ≡ RadioEngine per lane) live in
+// (batch ≡ BroadcastSession per lane) live in
 // tests/property/test_batch_equivalence.cpp.
 #include <gtest/gtest.h>
 

@@ -168,12 +168,6 @@ TEST(WordOps, OrWords) {
   EXPECT_EQ(dst[1], std::uint64_t{1} << 63);
 }
 
-TEST(WordOps, Andnot) {
-  EXPECT_EQ(andnot(0b1100, 0b1010), 0b0100u);
-  EXPECT_EQ(andnot(~0ULL, 0), ~0ULL);
-  EXPECT_EQ(andnot(~0ULL, ~0ULL), 0u);
-}
-
 TEST(WordOps, AccumulateHitsSaturatesAtTwo) {
   // Fold three rows: a bit hit once lands in `once` only; hit twice or more
   // also lands in `twice` and stays there.
@@ -186,7 +180,7 @@ TEST(WordOps, AccumulateHitsSaturatesAtTwo) {
   accumulate_hits_words(once, twice, row_c, 1);
   EXPECT_EQ(once[0], 0b0111u);   // every bit hit at least once
   EXPECT_EQ(twice[0], 0b0011u);  // bits 0 and 1 hit two-plus times
-  EXPECT_EQ(andnot(once[0], twice[0]), 0b0100u);  // exactly-once mask
+  EXPECT_EQ(once[0] & ~twice[0], 0b0100u);  // exactly-once mask
 }
 
 TEST(WordOps, PopcountWords) {
