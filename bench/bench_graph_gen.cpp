@@ -3,7 +3,9 @@
 //
 // Three axes matter after the giant-n refactor:
 //   * BM_GenerateCsr — the geometric-skip sparse sampler into a CSR Graph
-//     (the legacy default path, now running on the overflow-proof walk);
+//     (the legacy default path, now running on the overflow-proof walk) at
+//     E2's dense p, plus BM_GenerateCsrSparse at d = ln² n, the density the
+//     auto cost model actually serves from CSR;
 //   * BM_GenerateBitmap — the word-parallel BernoulliWordGen bitmap
 //     generator the auto cost model picks for dense rows (p >= 1/64 with a
 //     fitting bitmap);
@@ -34,35 +36,45 @@ double dense_p() {
          static_cast<double>(kDenseN - 1);
 }
 
-void BM_GenerateCsr(benchmark::State& state) {
-  const auto n = static_cast<radio::NodeId>(state.range(0));
-  const radio::GnpParams params{n, dense_p()};
+// Times one materialized generator: a fresh G(n, p) per iteration from one
+// running Rng, reporting edges/sec of the last instance.
+void time_generation(benchmark::State& state, const radio::GnpParams& params,
+                     radio::GraphBackendChoice choice) {
   radio::Rng rng(kSeed);
   std::uint64_t edges = 0;
   for (auto _ : state) {
-    const radio::Graph g =
-        radio::generate_gnp_backend(params, rng, radio::GraphBackendChoice::kCsr);
+    const radio::Graph g = radio::generate_gnp_backend(params, rng, choice);
     edges = g.num_edges();
     benchmark::DoNotOptimize(edges);
   }
   state.counters["edges_per_s"] = benchmark::Counter(
       static_cast<double>(edges), benchmark::Counter::kIsIterationInvariantRate);
 }
+
+void BM_GenerateCsr(benchmark::State& state) {
+  const auto n = static_cast<radio::NodeId>(state.range(0));
+  time_generation(state, {n, dense_p()}, radio::GraphBackendChoice::kCsr);
+}
 BENCHMARK(BM_GenerateCsr)->Arg(kDenseN)->Unit(benchmark::kMillisecond);
+
+// The regime the auto cost model actually sends to CSR: d = ln² n at the
+// gnp_sparse / E3 sizes, where sampling plus the ordered CSR placement is
+// the whole per-trial generation cost.
+void BM_GenerateCsrSparse(benchmark::State& state) {
+  const auto n = static_cast<radio::NodeId>(state.range(0));
+  const double ln_n = std::log(static_cast<double>(n));
+  time_generation(state, radio::GnpParams::with_degree(n, ln_n * ln_n),
+                  radio::GraphBackendChoice::kCsr);
+}
+BENCHMARK(BM_GenerateCsrSparse)
+    ->Arg(1 << 13)
+    ->Arg(1 << 14)
+    ->Arg(1 << 15)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateBitmap(benchmark::State& state) {
   const auto n = static_cast<radio::NodeId>(state.range(0));
-  const radio::GnpParams params{n, dense_p()};
-  radio::Rng rng(kSeed);
-  std::uint64_t edges = 0;
-  for (auto _ : state) {
-    const radio::Graph g = radio::generate_gnp_backend(
-        params, rng, radio::GraphBackendChoice::kBitmap);
-    edges = g.num_edges();
-    benchmark::DoNotOptimize(edges);
-  }
-  state.counters["edges_per_s"] = benchmark::Counter(
-      static_cast<double>(edges), benchmark::Counter::kIsIterationInvariantRate);
+  time_generation(state, {n, dense_p()}, radio::GraphBackendChoice::kBitmap);
 }
 BENCHMARK(BM_GenerateBitmap)->Arg(kDenseN)->Unit(benchmark::kMillisecond);
 

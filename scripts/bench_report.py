@@ -232,6 +232,7 @@ def batch_sweep_rows(sweep_json: pathlib.Path) -> list[dict]:
 
 GEN_BENCH_PATHS = {
     "BM_GenerateCsr": "csr",
+    "BM_GenerateCsrSparse": "csr_sparse",
     "BM_GenerateBitmap": "bitmap",
     "BM_ImplicitIndex": "implicit",
 }
@@ -262,8 +263,8 @@ def gen_sweep_rows(gen_json: pathlib.Path) -> list[dict]:
         })
     if not rows:
         raise SystemExit(
-            f"error: {gen_json} has no BM_GenerateCsr / BM_GenerateBitmap /"
-            " BM_ImplicitIndex entries")
+            f"error: {gen_json} has no {' / '.join(GEN_BENCH_PATHS)}"
+            " entries")
     return sorted(rows, key=lambda r: (r["path"], r["n"]))
 
 

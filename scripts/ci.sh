@@ -86,6 +86,14 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
   --out "$SMOKE_DIR" > "$SMOKE_DIR/stdout.txt"
 python3 scripts/bench_report.py --check "$SMOKE_DIR"
 
+# Generation microbench smoke: the sparse CSR rows must still fold into a
+# BENCH_run.json entry, so a renamed benchmark fails here instead of
+# quietly dropping out of the perf record.
+"$BUILD_DIR/bench/bench_graph_gen" --benchmark_filter=Sparse \
+  --benchmark_min_time=0.01 --benchmark_format=json \
+  | python3 scripts/bench_report.py "$SMOKE_DIR" \
+      --bench-json "$SMOKE_DIR/BENCH_run.json" --gen-sweep /dev/stdin
+
 # Malformed-input smoke: every rejection path must exit non-zero with a
 # one-line diagnostic, never crash (see docs/experiments.md, "Error
 # handling & input validation").

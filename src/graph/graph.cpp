@@ -23,31 +23,37 @@ Graph Graph::from_edges(NodeId n, std::span<const Edge> edges) {
             });
   normalized.erase(std::unique(normalized.begin(), normalized.end()),
                    normalized.end());
+  // In (u, v) order a node's lower neighbors come from earlier blocks and its
+  // upper ones from its own block, both ascending.
+  return from_ordered_edges(n, normalized);
+}
 
+Graph Graph::from_ordered_edges(NodeId n, std::span<const Edge> edges) {
   std::vector<EdgeCount> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : normalized) {
+  for (const Edge& e : edges) {
+    RADIO_EXPECTS(e.u < e.v && e.v < n);
     ++offsets[e.u + 1];
     ++offsets[e.v + 1];
   }
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
+  // Each row fills left to right in input order, so the caller's ordering
+  // makes every row ascending; the check enforces that and rejects
+  // duplicates.
   std::vector<NodeId> adj(static_cast<std::size_t>(offsets[n]));
   std::vector<EdgeCount> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : normalized) {
-    adj[cursor[e.u]++] = e.v;
-    adj[cursor[e.v]++] = e.u;
+  const auto place = [&](NodeId row, NodeId w) {
+    EdgeCount& at = cursor[row];
+    RADIO_EXPECTS(at == offsets[row] || adj[at - 1] < w);
+    adj[at++] = w;
+  };
+  for (const Edge& e : edges) {
+    place(e.u, e.v);
+    place(e.v, e.u);
   }
-  // Counting placement from a sorted edge list leaves each node's neighbor
-  // run sorted except for the interleaving of the two directions; sort each
-  // run to guarantee the invariant.
   Graph g;
   g.offsets_ = std::move(offsets);
   g.adj_ = std::move(adj);
-  for (NodeId v = 0; v < n; ++v) {
-    auto begin = g.adj_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]);
-    auto end = g.adj_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
-  }
   return g;
 }
 

@@ -32,6 +32,13 @@ class Graph {
     return from_edges(n, std::span<const Edge>(edges.begin(), edges.size()));
   }
 
+  /// Builds from distinct edges u < v < n listed so that every node's
+  /// neighbors appear in ascending order across the input — both
+  /// (u, v)-lexicographic and (v, u)-lexicographic order qualify. One count
+  /// pass, a prefix sum and one placement pass: no copy, no sort. Order
+  /// violations and duplicates fail a precondition check at placement.
+  static Graph from_ordered_edges(NodeId n, std::span<const Edge> edges);
+
   /// Builds from pre-sorted, deduplicated per-node adjacency (internal fast
   /// path for generators that already produce both directions).
   static Graph from_csr(std::vector<EdgeCount> offsets, std::vector<NodeId> adj);

@@ -19,8 +19,8 @@ constexpr std::uint64_t triangle_start(std::uint64_t v) noexcept {
 /// Dense-regime sampler used when the adjacency bitmap would NOT fit
 /// (n ≳ 92k with p > 1/2 — a Θ(n²)-edge output that is enormous either
 /// way): draws the complement at rate 1-p, then emits every pair not in the
-/// complement. Kept verbatim from the original implementation so the draw
-/// sequence (and therefore every historical instance) is unchanged.
+/// complement, in (u, v) order. Same draw sequence as the original
+/// implementation, so every historical instance is unchanged.
 Graph sample_dense_gnp_setfallback(NodeId n, double p, Rng& rng) {
   const std::vector<Edge> non_edges = sample_gnp_edges(n, 1.0 - p, rng);
   std::unordered_set<std::uint64_t> excluded;
@@ -35,7 +35,7 @@ Graph sample_dense_gnp_setfallback(NodeId n, double p, Rng& rng) {
     for (NodeId v = u + 1; v < n; ++v)
       if (!excluded.count((static_cast<std::uint64_t>(u) << 32) | v))
         edges.push_back(Edge{u, v});
-  return Graph::from_edges(n, edges);
+  return Graph::from_ordered_edges(n, edges);
 }
 
 /// Dense-regime sampler when the bitmap fits: same complement draw sequence
@@ -135,8 +135,10 @@ Graph generate_gnp(const GnpParams& params, Rng& rng) {
                ? sample_dense_gnp_bitmap(params.n, params.p, rng)
                : sample_dense_gnp_setfallback(params.n, params.p, rng);
   }
+  // The walk emits pairs in (v, u) order: a row gets its lower neighbors
+  // while the walk is in it, then its upper ones from later rows.
   const std::vector<Edge> edges = sample_gnp_edges(params.n, params.p, rng);
-  return Graph::from_edges(params.n, edges);
+  return Graph::from_ordered_edges(params.n, edges);
 }
 
 Graph generate_gnp_bitmap(const GnpParams& params, Rng& rng) {
@@ -183,9 +185,11 @@ Graph generate_gnp_backend(const GnpParams& params, Rng& rng,
       break;
   }
   // Cost model: word-parallel generation moves ⌈n/64⌉ words per row at ~0.1
-  // draws per pair; skip sampling pays one geometric (log) per edge plus an
-  // O(m log m) edge sort. At p ≥ 1/64 (≥ 1 expected edge per word) the
-  // bitmap wins decisively and costs at most ~2× the CSR's own memory.
+  // draws per pair; skip sampling pays one geometric (log) per edge plus a
+  // linear counting placement. The p ≥ 1/64 threshold stays put: moving it
+  // changes which generator, and so which draw sequence, serves an
+  // instance, which would change every golden. Re-tuning it is a separate
+  // change with its own measurements.
   return (bitmap_fits && params.p >= 1.0 / 64.0)
              ? generate_gnp_bitmap(params, rng)
              : generate_gnp(params, rng);

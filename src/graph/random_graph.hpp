@@ -55,9 +55,11 @@ Edge pair_from_linear_index(std::uint64_t idx) noexcept;
 
 /// The raw Batagelj–Brandes geometric-skip sampler over the lower triangle:
 /// each pair (u < v) is kept independently with probability p; O(n + m)
-/// draws. This is generate_gnp's p ≤ 1/2 workhorse, exposed so the giant-n
-/// overflow regression tests can exercise it at n near the 0xFFFFFFFE cap
-/// without materializing a Graph (whose offsets array alone would be 34 GB).
+/// draws. Pairs come out distinct and in increasing linear index, i.e. in
+/// (v, u) order — the input order Graph::from_ordered_edges accepts. This is
+/// generate_gnp's p ≤ 1/2 workhorse, exposed so the giant-n overflow
+/// regression tests can exercise it at n near the 0xFFFFFFFE cap without
+/// materializing a Graph (whose offsets array alone would be 34 GB).
 /// The skip walk is unchecked uint64 arithmetic throughout: every addition
 /// is guarded against the remaining pair budget BEFORE it happens, so
 /// neither a clamped ~9e18 skip nor the final ++ past the last pair can
@@ -85,7 +87,9 @@ Graph generate_gnp_bitmap(const GnpParams& params, Rng& rng);
 /// (byte-stable draw sequence), kBitmap pins the word-parallel bitmap
 /// generator (falling back to CSR when the bitmap would not fit), kAuto
 /// applies the cost model — bitmap when it fits and p ≥ 1/64 (one expected
-/// edge per word, where word-parallel generation clearly beats skip+sort).
+/// edge per word). The threshold is kept where it is because moving it
+/// changes which generator, and so which draw sequence, serves an instance,
+/// which would change every golden.
 /// kImplicit is handled by callers that can hold an ImplicitGnp; here it
 /// selects like kAuto so materialized-only drivers degrade gracefully.
 Graph generate_gnp_backend(const GnpParams& params, Rng& rng,

@@ -1,11 +1,12 @@
-// CSR graph: construction, dedup, neighbor queries, edge lists, induced
-// subgraphs.
+// CSR graph: construction (including the sort-free ordered-edge builder),
+// dedup, neighbor queries, edge lists, induced subgraphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/random_graph.hpp"
 
 namespace radio {
 namespace {
@@ -136,6 +137,33 @@ TEST(Graph, FromCsrFastPath) {
   EXPECT_TRUE(g.has_edge(1, 2));
 }
 
+void expect_same_graph(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto na = a.neighbors(v);
+    const auto nb = b.neighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << "row " << v;
+  }
+}
+
+TEST(Graph, FromOrderedEdgesMatchesFromEdges) {
+  for (const NodeId n : {0u, 1u, 2u, 3u, 64u, 65u, 1000u}) {
+    for (const double p : {0.02, 0.3, 1.0}) {
+      Rng rng(n * 7 + static_cast<std::uint64_t>(p * 100));
+      // The skip walk's native order: (v, u)-lexicographic.
+      std::vector<Edge> edges = sample_gnp_edges(n, p, rng);
+      const Graph reference = Graph::from_edges(n, edges);
+      expect_same_graph(Graph::from_ordered_edges(n, edges), reference);
+      std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+        return a.u != b.u ? a.u < b.u : a.v < b.v;
+      });
+      expect_same_graph(Graph::from_ordered_edges(n, edges), reference);
+    }
+  }
+}
+
 TEST(GraphDeathTest, SelfLoopRejected) {
   const std::vector<Edge> edges = {{1, 1}};
   EXPECT_DEATH((void)Graph::from_edges(3, edges), "precondition");
@@ -144,6 +172,31 @@ TEST(GraphDeathTest, SelfLoopRejected) {
 TEST(GraphDeathTest, OutOfRangeEndpointRejected) {
   const std::vector<Edge> edges = {{0, 7}};
   EXPECT_DEATH((void)Graph::from_edges(3, edges), "precondition");
+}
+
+TEST(GraphDeathTest, FromOrderedEdgesRejectsDescendingRow) {
+  const std::vector<Edge> edges = {{0, 2}, {0, 1}};
+  EXPECT_DEATH((void)Graph::from_ordered_edges(3, edges), "precondition");
+}
+
+TEST(GraphDeathTest, FromOrderedEdgesRejectsDuplicate) {
+  const std::vector<Edge> edges = {{0, 1}, {0, 1}};
+  EXPECT_DEATH((void)Graph::from_ordered_edges(3, edges), "precondition");
+}
+
+TEST(GraphDeathTest, FromOrderedEdgesRejectsSelfLoop) {
+  const std::vector<Edge> edges = {{1, 1}};
+  EXPECT_DEATH((void)Graph::from_ordered_edges(3, edges), "precondition");
+}
+
+TEST(GraphDeathTest, FromOrderedEdgesRejectsReversedPair) {
+  const std::vector<Edge> edges = {{2, 1}};
+  EXPECT_DEATH((void)Graph::from_ordered_edges(3, edges), "precondition");
+}
+
+TEST(GraphDeathTest, FromOrderedEdgesRejectsOutOfRange) {
+  const std::vector<Edge> edges = {{0, 3}};
+  EXPECT_DEATH((void)Graph::from_ordered_edges(3, edges), "precondition");
 }
 
 TEST(GraphDeathTest, InducedDuplicateRejected) {

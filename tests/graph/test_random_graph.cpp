@@ -369,6 +369,45 @@ TEST(GnpBackend, CsrChoiceMatchesLegacyGenerator) {
   EXPECT_EQ(legacy.edge_list(), csr.edge_list());
 }
 
+// FNV-1a over every CSR row (degree, then neighbors): pins the exact bytes
+// generate_gnp's sparse path produces, so a rewrite of the CSR builder must
+// reproduce every historical instance, not just an isomorphic graph.
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint32_t x) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    mix(g.degree(v));
+    for (const NodeId w : g.neighbors(v)) mix(w);
+  }
+  return h;
+}
+
+TEST(Gnp, CsrInstanceDigestPinned) {
+  struct Case {
+    NodeId n;
+    double d;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const double ln8192 = std::log(8192.0);
+  const Case cases[] = {
+      {1 << 13, ln8192 * ln8192, 1, 2320750114229202633ULL},
+      {1000, 3.0 * std::log(1000.0), 2, 9059637849080470370ULL},
+      {65, 0.49 * 64.0, 3, 14739719608676856833ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const Graph g = generate_gnp(GnpParams::with_degree(c.n, c.d), rng);
+    EXPECT_EQ(csr_digest(g), c.digest) << "n=" << c.n << " seed=" << c.seed;
+  }
+}
+
 class GnpBackendSweep
     : public ::testing::TestWithParam<std::tuple<GraphBackendChoice, double>> {
 };
