@@ -8,7 +8,10 @@
 #include <exception>
 
 #include "analysis/workload.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/round_robin.hpp"
+#include "protocols/uniform_gossip.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/stream_tags.hpp"
@@ -30,25 +33,26 @@ int main(int argc, char** argv) try {
 
   radio::Table table(
       {"protocol", "rounds", "transmissions", "coverage", "completed"});
-  auto contend = [&](radio::GossipProtocol& protocol, std::uint32_t budget) {
+  auto contend = [&](const char* label, radio::Protocol& protocol,
+                     std::uint32_t budget) {
     radio::GossipSession session(instance.graph);
     radio::Rng run_rng = radio::Rng::for_stream(seed, radio::stream_tags::kExampleGossipRunStream);
     const radio::GossipRun run = radio::run_gossip(
         protocol, radio::context_for(instance), session, run_rng, budget);
     table.row()
-        .cell(protocol.name())
+        .cell(label)
         .cell(static_cast<std::uint64_t>(run.rounds))
         .cell(run.transmissions)
         .cell(run.coverage, 4)
         .cell(run.completed ? "yes" : "no");
   };
 
-  radio::UniformGossipAllToAll uniform;
-  radio::RoundRobinGossip round_robin;
-  radio::DecayGossip decay;
-  contend(uniform, static_cast<std::uint32_t>(400.0 * ln_n));
-  contend(round_robin, n * 16);
-  contend(decay, static_cast<std::uint32_t>(1500.0 * ln_n));
+  radio::UniformGossipProtocol uniform;
+  radio::RoundRobinProtocol round_robin;
+  radio::DecayProtocol decay;
+  contend("gossip-uniform", uniform, static_cast<std::uint32_t>(400.0 * ln_n));
+  contend("gossip-round-robin", round_robin, n * 16);
+  contend("gossip-decay", decay, static_cast<std::uint32_t>(1500.0 * ln_n));
   table.print("gossip protocols");
 
   std::printf(

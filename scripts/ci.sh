@@ -126,6 +126,21 @@ fi
 rm -rf "$STREAM_DIR_1" "$STREAM_DIR_4"
 echo "ci: streaming smoke ok (E16 gate + thread determinism)" >&2
 
+# The gossip path gets the same CLI-level determinism check: E12 runs the
+# broadcast protocols on an all-informed GossipSession view, and its metrics
+# must not depend on the thread count either.
+GOSSIP_DIR_1="$(mktemp -d)"; GOSSIP_DIR_4="$(mktemp -d)"
+OMP_NUM_THREADS=1 "$BUILD_DIR/bench/radio_bench" run E12 --trials 2 --seed 7 \
+  --quick --out "$GOSSIP_DIR_1" > /dev/null
+OMP_NUM_THREADS=4 "$BUILD_DIR/bench/radio_bench" run E12 --trials 2 --seed 7 \
+  --quick --out "$GOSSIP_DIR_4" > /dev/null
+if ! diff <(grep -v '"event":"summary"' "$GOSSIP_DIR_1/metrics.jsonl") \
+          <(grep -v '"event":"summary"' "$GOSSIP_DIR_4/metrics.jsonl"); then
+  echo "ci: E12 metrics differ between OMP_NUM_THREADS=1 and 4" >&2; exit 1
+fi
+rm -rf "$GOSSIP_DIR_1" "$GOSSIP_DIR_4"
+echo "ci: gossip smoke ok (E12 thread determinism)" >&2
+
 # ----------------------------------------------------------- giant-n smoke
 # The implicit backend's reason to exist: one E2 row at n = 10^7 driven
 # end to end through ImplicitGnp (skippable alongside the sanitizers for the

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/batch/batch_engine.hpp"
 #include "util/parse.hpp"
 
 namespace radio {
@@ -86,7 +87,7 @@ BenchCommand parse_bench_command(const std::vector<std::string>& args) {
     } else if (matches_flag(arg, "--batch")) {
       const std::string value = flag_value("--batch", arg, args, i);
       command.batch = static_cast<int>(
-          parse_int(value, "--batch", 1, 4096).value_or_throw());
+          parse_int(value, "--batch", 1, kMaxBatchLanes).value_or_throw());
     } else if (matches_flag(arg, "--rate")) {
       const std::string value = flag_value("--rate", arg, args, i);
       command.rate = parse_double(value, "--rate", 1e-9, 1e9).value_or_throw();
@@ -155,7 +156,9 @@ std::string bench_usage() {
       "  --seed S       base RNG seed                      (RADIO_SEED, 42)\n"
       "  --full         large n grids                      (RADIO_FULL=1)\n"
       "  --quick        small n grids (default)\n"
-      "  --batch B      sim/batch lane width, 1–4096       (RADIO_BATCH, 1)\n"
+      "  --batch B      sim/batch lane width, 1–" +
+      std::to_string(kMaxBatchLanes) +
+      "       (RADIO_BATCH, 1)\n"
       "                 shared-instance probes advance B instances per\n"
       "                 sweep; results are byte-identical for any B\n"
       "  --graph-backend auto|csr|bitmap|implicit\n"

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/batch/batch_engine.hpp"
 #include "util/parse.hpp"
 
 namespace radio {
@@ -27,7 +28,7 @@ ExperimentConfig ExperimentConfig::from_environment(
   }
   if (const char* batch = std::getenv("RADIO_BATCH"))
     config.batch = static_cast<int>(
-        parse_int(batch, "RADIO_BATCH", 1, 4096).value_or_throw());
+        parse_int(batch, "RADIO_BATCH", 1, kMaxBatchLanes).value_or_throw());
   if (const char* backend = std::getenv("RADIO_GRAPH_BACKEND")) {
     const auto choice = graph_backend_from_name(backend);
     if (!choice)

@@ -73,7 +73,7 @@ struct ExperimentNote {
 };
 
 struct ExperimentResult {
-  std::string id;    ///< "E1" … "E15"
+  std::string id;    ///< "E1" … "E18"
   std::string title;
   Table table;
   std::vector<ExperimentNote> notes;  ///< fits, shape checks, caveats

@@ -16,7 +16,10 @@
 #include "analysis/experiments.hpp"
 #include "analysis/trial_runner.hpp"
 #include "analysis/workload.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/round_robin.hpp"
+#include "protocols/uniform_gossip.hpp"
 #include "util/fit.hpp"
 #include "util/stats.hpp"
 #include "util/stream_tags.hpp"
@@ -64,17 +67,13 @@ ExperimentResult run_e12_gossip_scaling(const ExperimentConfig& config) {
             const BroadcastInstance instance =
                 make_broadcast_instance(params, rng);
             GossipSession session(instance.graph);
-            UniformGossipAllToAll uniform;
-            RoundRobinGossip round_robin;
-            DecayGossip decay;
-            GossipProtocol* protocol =
-                entry.kind == 0
-                    ? static_cast<GossipProtocol*>(&uniform)
-                    : entry.kind == 1
-                          ? static_cast<GossipProtocol*>(&round_robin)
-                          : static_cast<GossipProtocol*>(&decay);
-            const GossipRun run = run_gossip(*protocol, context_for(instance),
-                                             session, rng, entry.budget);
+            UniformGossipProtocol uniform;
+            RoundRobinProtocol round_robin;
+            DecayProtocol decay;
+            Protocol* const protocols[] = {&uniform, &round_robin, &decay};
+            const GossipRun run =
+                run_gossip(*protocols[entry.kind], context_for(instance),
+                           session, rng, entry.budget);
             return Trial{static_cast<double>(run.rounds), run.coverage,
                          run.completed};
           });

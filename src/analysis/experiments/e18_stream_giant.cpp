@@ -2,14 +2,14 @@
 // on-demand ImplicitGnp backend (no materialized graph ever exists).
 //
 // This is the ROADMAP's "service under heavy traffic" experiment run at the
-// scale PR 7 unlocked: decay pipelined depth-2 (the real PipelinedAdapter)
-// over BasicStreamSession<ImplicitGnp>, the same session code E16/E17 run on
-// a materialized graph, on G(n, 3 ln n / n) — the connectivity-safe density
-// E2's giant mode uses — and horizons long enough that a queue either
-// visibly drains or visibly diverges. The queue-depth trajectory is
-// recorded per row so the manifest shows the SHAPE of (in)stability, not
-// just the verdict: a stable λ's trajectory plateaus, an unstable one's
-// climbs linearly at λ − μ.
+// scale the implicit backend unlocked: decay pipelined depth-2 (the real
+// StreamingProtocol) over BasicStreamSession<ImplicitGnp>, the same session
+// code E16/E17 run on a materialized graph, on G(n, 3 ln n / n) — the
+// connectivity-safe density E2's giant mode uses — and horizons long enough
+// that a queue either visibly drains or visibly diverges. The queue-depth
+// trajectory is recorded per row so the manifest shows the SHAPE of
+// (in)stability, not just the verdict: a stable λ's trajectory plateaus, an
+// unstable one's climbs linearly at λ − μ.
 //
 // The driver always uses the implicit backend regardless of
 // --graph-backend: its reason to exist is the regime where that is the only

@@ -13,7 +13,7 @@
 
 namespace radio {
 
-/// Fresh StreamingProtocol per trial (adapters are stateful across rounds).
+/// Fresh StreamingProtocol per trial (its slots are stateful across rounds).
 using StreamProtocolFactory =
     std::function<std::unique_ptr<StreamingProtocol>()>;
 

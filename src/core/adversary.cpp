@@ -197,13 +197,13 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
     // Last node informed == the witness that pinned the completion time.
     cert.witness = source;
     cert.rounds_survived = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    SessionView(session).for_each_informed([&](NodeId v) {
       const std::uint32_t round = session.informed_round(v);
-      if (round != kUnreachable && round > cert.rounds_survived) {
+      if (round > cert.rounds_survived) {
         cert.rounds_survived = round;
         cert.witness = v;
       }
-    }
+    });
   } else {
     const std::vector<NodeId> uninformed = session.uninformed_nodes();
     RADIO_EXPECTS(!uninformed.empty());
@@ -341,15 +341,14 @@ class SmallSetPolicy {
          t < params_.round_budget && !session.complete(); ++t) {
       NodeId best = source_;
       std::size_t best_gain = 0;
-      for (NodeId v = 0; v < g_.num_nodes(); ++v) {
-        if (!session.informed(v)) continue;
+      SessionView(session).for_each_informed([&](NodeId v) {
         std::size_t gain = 0;
         for (NodeId u : g_.neighbors(v)) gain += session.informed(u) ? 0 : 1;
         if (gain > best_gain) {
           best_gain = gain;
           best = v;
         }
-      }
+      });
       SmallRoundSet set;
       set.node[0] = best;
       schedule.push_back(set);

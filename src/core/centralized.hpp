@@ -243,10 +243,10 @@ CentralizedResult build_centralized_schedule(
       if (session.complete()) break;
       if (n - session.informed_count() <= residual_target) break;
       std::vector<NodeId> candidates;
-      for (NodeId v = 0; v < n; ++v)
-        if (session.informed(v) &&
-            (options.ablate_disjoint_sets || !used.test(v)))
+      SessionView(session).for_each_informed([&](NodeId v) {
+        if (options.ablate_disjoint_sets || !used.test(v))
           candidates.push_back(v);
+      });
       if (candidates.empty()) break;
 
       // Build-time resampling: the schedule must be productive once frozen,

@@ -44,13 +44,12 @@ void ElsasserGasieniecBroadcast::select_transmitters(
     std::vector<NodeId>& out) {
   const double prob = transmit_probability(round);
   const bool tail = round > switch_round_;
-  for (NodeId v = 0; v < session.num_nodes(); ++v) {
-    if (!session.informed(v)) continue;
+  session.for_each_informed([&](NodeId v) {
     if (tail && !options_.tail_includes_late_informed &&
         session.informed_round(v) > switch_round_)
-      continue;  // the paper's tail: only rounds-1…D knowers transmit
+      return;  // the paper's tail: only rounds-1…D knowers transmit
     if (prob >= 1.0 || rng.bernoulli(prob)) out.push_back(v);
-  }
+  });
 }
 
 }  // namespace radio

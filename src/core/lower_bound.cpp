@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/distributed.hpp"
 #include "graph/bfs.hpp"
 #include "sim/batch/batch_runner.hpp"
 #include "sim/runner.hpp"
@@ -25,27 +26,26 @@ void ObliviousSequenceProtocol::select_transmitters(
   const double q = round <= probabilities_.size()
                        ? probabilities_[round - 1]
                        : probabilities_.back();
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v) && (q >= 1.0 || rng.bernoulli(q))) out.push_back(v);
+  session.for_each_informed([&](NodeId v) {
+    if (q >= 1.0 || rng.bernoulli(q)) out.push_back(v);
+  });
 }
 
 std::vector<double> theorem7_oblivious_sequence(const ProtocolContext& ctx,
                                                 std::uint32_t budget) {
-  const double n = static_cast<double>(ctx.n);
-  const double d = std::max(2.0, ctx.expected_degree());
-  const auto switch_round = static_cast<std::uint32_t>(
-      std::max(1.0, std::round(std::log(n) / std::log(d))));
+  // The protocol's own schedule, read off round by round. Degrees below 2
+  // are clamped to 2 so D = ln n / ln d stays finite on sparse inputs.
+  ProtocolContext clamped = ctx;
+  if (ctx.expected_degree() < 2.0)
+    clamped.p = 2.0 / static_cast<double>(ctx.n);
+  ElsasserGasieniecBroadcast theorem7;
+  theorem7.reset(clamped);
+  const std::uint32_t length =
+      std::max(budget, theorem7.phase_switch_round() + 1);
   std::vector<double> probs;
-  probs.reserve(budget);
-  for (std::uint32_t t = 1; t <= std::max(budget, switch_round + 1); ++t) {
-    if (t < switch_round)
-      probs.push_back(1.0);
-    else if (t == switch_round)
-      probs.push_back(std::min(
-          1.0, n / std::pow(d, static_cast<double>(switch_round))));
-    else
-      probs.push_back(std::min(1.0, 1.0 / d));
-  }
+  probs.reserve(length);
+  for (std::uint32_t t = 1; t <= length; ++t)
+    probs.push_back(theorem7.transmit_probability(t));
   return probs;
 }
 
@@ -134,9 +134,7 @@ void SmallSetScheduleProtocol::select_transmitters(std::uint32_t,
                                                    Rng& rng,
                                                    std::vector<NodeId>& out) {
   pool_.clear();
-  // informed_nodes()-style collection without allocating per round.
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v)) pool_.push_back(v);
+  session.for_each_informed([&](NodeId v) { pool_.push_back(v); });
   const NodeId size = static_cast<NodeId>(
       1 +
       rng.uniform_below(std::min<std::uint64_t>(max_set_size_, pool_.size())));

@@ -68,8 +68,9 @@ struct ObliviousSearchOutcome {
 
 /// The Theorem-7 probability schedule as an explicit oblivious sequence
 /// (flood for log n/log d rounds, one catch-up round, then 1/d forever), so
-/// search spaces provably contain the paper's own algorithm. Length is at
-/// least `budget` rounds.
+/// search spaces provably contain the paper's own algorithm. Entries are
+/// ElsasserGasieniecBroadcast::transmit_probability on `ctx` with d clamped
+/// to at least 2. Length is at least `budget` rounds.
 std::vector<double> theorem7_oblivious_sequence(const ProtocolContext& ctx,
                                                 std::uint32_t budget);
 

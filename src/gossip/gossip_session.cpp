@@ -2,17 +2,22 @@
 
 #include <bit>
 
+#include "util/assert.hpp"
+
 namespace radio {
 
 GossipSession::GossipSession(const Graph& g)
     : graph_(&g),
       counts_(g.num_nodes(), 1),
       total_(g.num_nodes()),
+      everyone_(g.num_nodes()),
+      start_rounds_(g.num_nodes(), 0),
       resolver_(g.num_nodes()) {
   knowledge_.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     knowledge_.emplace_back(g.num_nodes());
     knowledge_.back().set(v);  // own rumor
+    everyone_.set(v);
   }
 }
 
@@ -48,6 +53,27 @@ const GossipRoundStats& GossipSession::step(
   stats.knowledge_total = total_;
   history_.push_back(stats);
   return history_.back();
+}
+
+GossipRun run_gossip(Protocol& protocol, const ProtocolContext& ctx,
+                     GossipSession& session, Rng& rng,
+                     std::uint32_t max_rounds) {
+  RADIO_EXPECTS(max_rounds > 0);
+  RADIO_EXPECTS(!protocol.wants_observations());  // the loop feeds none
+  protocol.reset(ctx);
+  GossipRun run;
+  std::vector<NodeId> transmitters;
+  for (std::uint32_t round = 1; round <= max_rounds; ++round) {
+    if (session.complete()) break;
+    transmitters.clear();
+    protocol.select_transmitters(round, session, rng, transmitters);
+    const GossipRoundStats& stats = session.step(transmitters);
+    ++run.rounds;
+    run.transmissions += stats.transmitters;
+  }
+  run.completed = session.complete();
+  run.coverage = session.coverage();
+  return run;
 }
 
 }  // namespace radio

@@ -8,6 +8,13 @@
 // current rumor set (radio packets are size-unbounded in this model, as in
 // the broadcast case where the single message also rides one transmission).
 // Gossip completes when every node knows all n rumors.
+//
+// Gossip needs no schedulers of its own. Protocols select transmitters
+// through the session's SessionView, in which every node is informed at
+// round 0 (each holds its own rumor), so the broadcast protocols run on it
+// unchanged. E12 contrasts three: UniformGossipProtocol (every node
+// transmits with probability 1/d, Theorem 7's tail), RoundRobinProtocol
+// (collision-free, O(n·D) rounds) and DecayProtocol (BGI phases).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +22,11 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sim/protocol.hpp"
 #include "sim/round_resolver.hpp"
+#include "sim/session_view.hpp"
 #include "util/bitset.hpp"
+#include "util/rng.hpp"
 
 namespace radio {
 
@@ -59,6 +69,12 @@ class GossipSession {
     return static_cast<std::uint32_t>(history_.size());
   }
 
+  /// The protocol-facing view: every node informed since round 0
+  /// (implicit, like BroadcastSession's).
+  operator SessionView() const noexcept {
+    return SessionView(*graph_, everyone_, start_rounds_, everyone_.size());
+  }
+
   /// Executes one round. Transmitter ids must be distinct.
   const GossipRoundStats& step(std::span<const NodeId> transmitters);
 
@@ -72,7 +88,21 @@ class GossipSession {
   std::vector<std::size_t> counts_;   ///< per node: |rumor set|
   std::uint64_t total_ = 0;
   std::vector<GossipRoundStats> history_;
+  Bitset everyone_;                         ///< the view's informed set: all
+  std::vector<std::uint32_t> start_rounds_; ///< the view's rounds: all 0
   RoundResolver resolver_;  ///< the shared channel rule (any fold)
 };
+
+struct GossipRun {
+  bool completed = false;
+  std::uint32_t rounds = 0;
+  std::uint64_t transmissions = 0;
+  double coverage = 0.0;  ///< fraction of (node, rumor) pairs delivered
+};
+
+/// Runs `protocol` on `session` until all-to-all completion or the budget.
+GossipRun run_gossip(Protocol& protocol, const ProtocolContext& ctx,
+                     GossipSession& session, Rng& rng,
+                     std::uint32_t max_rounds);
 
 }  // namespace radio

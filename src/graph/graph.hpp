@@ -7,6 +7,7 @@
 // queries and cache-friendly sequential sweeps.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,11 @@
 #include "graph/types.hpp"
 
 namespace radio {
+
+/// The one memory cap for per-graph working sets: adjacency bitmaps are
+/// never built above it (generation and the dense round fold, ≈1 GiB ⇒
+/// n ≲ 92k), and batch lane state is clamped under it.
+inline constexpr std::size_t kMemoryBudgetBytes = std::size_t{1} << 30;
 
 class Graph {
  public:
@@ -83,17 +89,18 @@ class Graph {
   // Row-major n × ⌈n/64⌉ bitmap: bit w of row v is set iff {v, w} is an edge.
   // Built lazily on first use (thread-safe; the graph stays shareable
   // read-only across parallel trials) and shared by copies of this Graph.
-  // Costs n·⌈n/64⌉·8 bytes — callers gate on bitmap_bytes() before opting in.
+  // Costs bitmap_bytes(n) — callers gate it on kMemoryBudgetBytes before
+  // opting in.
 
   /// Words per bitmap row (⌈n/64⌉).
   std::size_t bitmap_words_per_row() const noexcept {
     return (static_cast<std::size_t>(num_nodes()) + 63) / 64;
   }
 
-  /// Memory the full bitmap occupies (whether or not it is built yet).
-  std::size_t bitmap_bytes() const noexcept {
-    return static_cast<std::size_t>(num_nodes()) * bitmap_words_per_row() *
-           sizeof(std::uint64_t);
+  /// Memory an n-node bitmap occupies: n·⌈n/64⌉·8 bytes.
+  static constexpr std::size_t bitmap_bytes(NodeId n) noexcept {
+    const auto nodes = static_cast<std::size_t>(n);
+    return nodes * ((nodes + 63) / 64) * sizeof(std::uint64_t);
   }
 
   /// The full bitmap, building it on first call. Row v occupies words

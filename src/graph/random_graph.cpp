@@ -128,10 +128,7 @@ std::vector<Edge> sample_gnp_edges(NodeId n, double p, Rng& rng) {
 Graph generate_gnp(const GnpParams& params, Rng& rng) {
   RADIO_EXPECTS(params.p >= 0.0 && params.p <= 1.0);
   if (params.p > 0.5) {
-    const std::size_t bitmap_bytes = static_cast<std::size_t>(params.n) *
-                                     words_for_bits(params.n) *
-                                     sizeof(std::uint64_t);
-    return bitmap_bytes <= kGnpBitmapByteLimit
+    return Graph::bitmap_bytes(params.n) <= kMemoryBudgetBytes
                ? sample_dense_gnp_bitmap(params.n, params.p, rng)
                : sample_dense_gnp_setfallback(params.n, params.p, rng);
   }
@@ -170,10 +167,8 @@ Graph generate_gnp_bitmap(const GnpParams& params, Rng& rng) {
 
 Graph generate_gnp_backend(const GnpParams& params, Rng& rng,
                            GraphBackendChoice choice) {
-  const std::size_t bitmap_bytes = static_cast<std::size_t>(params.n) *
-                                   words_for_bits(params.n) *
-                                   sizeof(std::uint64_t);
-  const bool bitmap_fits = bitmap_bytes <= kGnpBitmapByteLimit;
+  const bool bitmap_fits =
+      Graph::bitmap_bytes(params.n) <= kMemoryBudgetBytes;
   switch (choice) {
     case GraphBackendChoice::kCsr:
       return generate_gnp(params, rng);

@@ -69,18 +69,13 @@ std::vector<Edge> sample_gnp_edges(NodeId n, double p, Rng& rng);
 /// Samples G(n,p). Requires 0 <= p <= 1.
 Graph generate_gnp(const GnpParams& params, Rng& rng);
 
-/// Adjacency bitmaps cost n·⌈n/64⌉·8 bytes; generate_gnp_backend's auto
-/// path never builds one above this cap (mirrors the dense-round kernel's
-/// kDenseBitmapByteLimit: ≈1 GiB ⇒ n ≲ 92k).
-inline constexpr std::size_t kGnpBitmapByteLimit = std::size_t{1} << 30;
-
 /// Dense-regime generator: fills a symmetric adjacency bitmap with exact
 /// Bernoulli(p) words (util/rng.hpp BernoulliWordGen — ~0.1 draws per pair
 /// instead of one geometric per edge) and builds the Graph from it with no
 /// edge-list sort. Identical distribution to generate_gnp but a DIFFERENT
 /// draw sequence, so same-seed instances differ between the two generators.
-/// Requires the bitmap to fit (n·⌈n/64⌉·8 bytes; callers gate on
-/// kGnpBitmapByteLimit).
+/// Requires the bitmap to fit (Graph::bitmap_bytes(n); callers gate on
+/// kMemoryBudgetBytes).
 Graph generate_gnp_bitmap(const GnpParams& params, Rng& rng);
 
 /// Backend-selected generation: kCsr pins the legacy skip-sampling path

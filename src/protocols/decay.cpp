@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/bitset.hpp"
 
 namespace radio {
 
@@ -21,14 +20,9 @@ void DecayProtocol::select_transmitters(std::uint32_t round,
   RADIO_EXPECTS(nodes_ == session.num_nodes());
   const bool phase_start = (round - 1) % phase_length_ == 0;
   if (phase_start) {
-    // Informed nodes become active, in ascending id order (the same order
-    // the per-node scan visited them, preserving the draw sequence).
+    // Informed nodes become active, in ascending id order.
     active_.clear();
-    const std::span<const std::uint64_t> words = session.informed_set().words();
-    for (std::size_t wi = 0; wi < words.size(); ++wi)
-      for_each_set_bit(words[wi], wi * 64, [&](std::size_t v) {
-        active_.push_back(static_cast<NodeId>(v));
-      });
+    session.for_each_informed([&](NodeId v) { active_.push_back(v); });
   }
   // Every active node transmits, then survives into the next round of the
   // phase with probability 1/2; the in-place compaction keeps ids ascending.

@@ -1,6 +1,6 @@
 // Streaming (pipelined multi-message) adapters for the one-shot protocols.
 //
-// Each factory wraps an existing Protocol in a PipelinedAdapter
+// Each factory wraps an existing Protocol in a StreamingProtocol
 // (sim/stream/streaming_protocol.hpp): `depth` interleaved slots, one
 // independent protocol instance per slot, messages never colliding across
 // slots. Decay is the positive baseline — its per-message broadcast

@@ -4,19 +4,13 @@
 
 namespace radio {
 
-namespace {
-/// Lanes per step are bounded so lane masks stay a handful of words; the
-/// scheduler's memory gate (batch_lanes_for) clamps far earlier in practice.
-constexpr std::uint32_t kMaxLanes = 4096;
-}  // namespace
-
 BatchEngine::BatchEngine(const Graph& g, std::uint32_t lanes)
     : graph_(&g),
       lane_count_(lanes),
       stride_(words_for_bits(lanes)),
       tx_flag_(g.num_nodes(), 0),
       touched_flag_(g.num_nodes(), 0) {
-  RADIO_EXPECTS(lanes >= 1 && lanes <= kMaxLanes);
+  RADIO_EXPECTS(lanes >= 1 && lanes <= kMaxBatchLanes);
   const auto n = static_cast<std::size_t>(g.num_nodes());
   informed_p_.assign(n * stride_, 0);
   once_.assign(n * stride_, 0);
@@ -43,12 +37,10 @@ void BatchEngine::open_lane(std::uint32_t lane, NodeId source) {
   Bitset& mirror = informed_mirror_[lane];
   std::vector<std::uint32_t>& rounds = informed_round_[lane];
   if (informed_count_[lane] > 0) {
-    const std::span<const std::uint64_t> words = mirror.words();
-    for (std::size_t wi = 0; wi < words.size(); ++wi)
-      for_each_set_bit(words[wi], wi * 64, [&](std::size_t v) {
-        informed_p_[v * stride_ + word] &= ~mask;
-        rounds[v] = kUnreachable;
-      });
+    mirror.for_each_set([&](std::size_t v) {
+      informed_p_[v * stride_ + word] &= ~mask;
+      rounds[v] = kUnreachable;
+    });
     mirror.clear_all();
   }
   informed_p_[static_cast<std::size_t>(source) * stride_ + word] |= mask;
@@ -224,11 +216,9 @@ void BatchEngine::compact(std::span<const std::uint32_t> old_lane_of_new) {
     RADIO_EXPECTS(i == 0 || old > old_lane_of_new[i - 1]);
     const std::uint64_t mask = std::uint64_t{1} << (i & 63);
     const std::size_t word = i >> 6;
-    const std::span<const std::uint64_t> words = informed_mirror_[old].words();
-    for (std::size_t wi = 0; wi < words.size(); ++wi)
-      for_each_set_bit(words[wi], wi * 64, [&](std::size_t v) {
-        informed_new[v * new_stride + word] |= mask;
-      });
+    informed_mirror_[old].for_each_set([&](std::size_t v) {
+      informed_new[v * new_stride + word] |= mask;
+    });
     mirror_new[i] = std::move(informed_mirror_[old]);
     rounds_new[i] = std::move(informed_round_[old]);
     count_new[i] = informed_count_[old];

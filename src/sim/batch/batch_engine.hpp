@@ -40,6 +40,11 @@
 
 namespace radio {
 
+/// Lanes per engine are bounded so lane masks stay a handful of words; the
+/// scheduler's memory gate (batch_lanes_for) clamps far earlier in practice.
+/// Every lane-width input (--batch, RADIO_BATCH) is parsed against it.
+inline constexpr std::uint32_t kMaxBatchLanes = 4096;
+
 class BatchEngine {
  public:
   /// What one lane experienced in the round just stepped.
@@ -50,7 +55,7 @@ class BatchEngine {
     std::uint32_t redundant = 0;       ///< informed listeners that heard again
   };
 
-  /// `lanes` in [1, 4096]; the graph must outlive the engine.
+  /// `lanes` in [1, kMaxBatchLanes]; the graph must outlive the engine.
   BatchEngine(const Graph& g, std::uint32_t lanes);
 
   const Graph& graph() const noexcept { return *graph_; }

@@ -19,7 +19,7 @@ std::size_t batch_state_bytes(const Graph& g, std::uint32_t lanes) noexcept {
 std::uint32_t batch_lanes_for(const Graph& g,
                               std::uint32_t requested) noexcept {
   if (requested < 2 || g.num_nodes() < 2) return 1;
-  std::uint32_t lanes = std::min<std::uint32_t>(requested, 4096);
+  std::uint32_t lanes = std::min(requested, kMaxBatchLanes);
   while (lanes > 1 && batch_state_bytes(g, lanes) > kBatchStateByteLimit)
     lanes /= 2;
   return lanes;

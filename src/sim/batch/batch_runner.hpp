@@ -28,9 +28,9 @@
 
 namespace radio {
 
-/// Total bytes of batch lane state allowed (planes + mirrors); chosen to
-/// match the dense kernel's adjacency-bitmap cap (sim/channel_kernel.hpp).
-inline constexpr std::size_t kBatchStateByteLimit = std::size_t{1} << 30;
+/// Total bytes of batch lane state allowed (planes + mirrors): the same
+/// budget that caps adjacency bitmaps (graph/graph.hpp).
+inline constexpr std::size_t kBatchStateByteLimit = kMemoryBudgetBytes;
 
 /// Bytes of lane state a B-lane engine holds on g (4 planes of
 /// n·⌈B/64⌉ words plus per-lane informed mirror and round array).

@@ -42,7 +42,13 @@ class SessionView {
 
   std::size_t informed_count() const noexcept { return informed_count_; }
 
-  const Bitset& informed_set() const noexcept { return *informed_; }
+  /// Calls fn(v) for every informed node v in ascending id order. Costs
+  /// O(n/64 + informed_count()); protocols draw their per-node randomness
+  /// inside fn, so the order is part of every seeded result.
+  template <class Fn>
+  void for_each_informed(Fn&& fn) const {
+    informed_->for_each_set([&](std::size_t v) { fn(static_cast<NodeId>(v)); });
+  }
 
  private:
   NodeId num_nodes_;

@@ -6,14 +6,14 @@
 
 namespace radio {
 
-PipelinedAdapter::PipelinedAdapter(std::string label, std::uint32_t depth,
-                                   SlotProtocolFactory factory)
+StreamingProtocol::StreamingProtocol(std::string label, std::uint32_t depth,
+                                     SlotProtocolFactory factory)
     : label_(std::move(label)), depth_(depth), factory_(std::move(factory)) {
   RADIO_EXPECTS(depth_ >= 1);
   RADIO_EXPECTS(factory_ != nullptr);
 }
 
-void PipelinedAdapter::reset(const ProtocolContext& ctx) {
+void StreamingProtocol::reset(const ProtocolContext& ctx) {
   ctx_ = ctx;
   slots_.clear();
   slots_.reserve(depth_);
@@ -26,15 +26,15 @@ void PipelinedAdapter::reset(const ProtocolContext& ctx) {
   }
 }
 
-void PipelinedAdapter::on_message_start(std::uint32_t slot) {
+void StreamingProtocol::on_message_start(std::uint32_t slot) {
   RADIO_EXPECTS(slot < slots_.size());
   slots_[slot]->reset(ctx_);
 }
 
-void PipelinedAdapter::select_transmitters(std::uint32_t slot,
-                                           std::uint32_t local_round,
-                                           const SessionView& view, Rng& rng,
-                                           std::vector<NodeId>& out) {
+void StreamingProtocol::select_transmitters(std::uint32_t slot,
+                                            std::uint32_t local_round,
+                                            const SessionView& view, Rng& rng,
+                                            std::vector<NodeId>& out) {
   RADIO_EXPECTS(slot < slots_.size());
   slots_[slot]->select_transmitters(local_round, view, rng, out);
 }

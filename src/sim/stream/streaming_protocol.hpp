@@ -9,10 +9,9 @@
 // Theorem 5 (even/odd phases share the channel by round parity) promoted to
 // a generic depth-D time division; see DESIGN.md §9.
 //
-// PipelinedAdapter is the bridge from the existing one-shot Protocol
-// implementations: it instantiates one independent Protocol per slot and
-// replays each message's broadcast under a LOCAL round counter (1, 2, … per
-// message), so a protocol written for "round r of one broadcast" runs
+// It lifts any one-shot Protocol: one independent instance per slot, each
+// replaying its message's broadcast under a LOCAL round counter (1, 2, …
+// per message), so a protocol written for "round r of one broadcast" runs
 // unmodified inside slot s at wall rounds s+1, s+1+D, s+1+2D, ….
 #pragma once
 
@@ -26,49 +25,35 @@
 
 namespace radio {
 
+/// Factory for the single-message protocol a slot runs.
+using SlotProtocolFactory = std::function<std::unique_ptr<Protocol>()>;
+
+/// A depth-D pipeline over one-shot Protocols, one instance per slot, reset
+/// at each message start. The wrapped protocol must not want observations
+/// (the stream loop feeds none).
 class StreamingProtocol {
  public:
-  virtual ~StreamingProtocol() = default;
+  StreamingProtocol(std::string label, std::uint32_t depth,
+                    SlotProtocolFactory factory);
 
-  virtual std::string name() const = 0;
+  std::string name() const { return label_; }
 
   /// Number of interleaved slots (>= 1); fixed for the session's lifetime.
-  virtual std::uint32_t pipeline_depth() const = 0;
+  std::uint32_t pipeline_depth() const noexcept { return depth_; }
 
-  /// Called once before the session's first round.
-  virtual void reset(const ProtocolContext& ctx) = 0;
+  /// Called once before the session's first round: builds the slots.
+  void reset(const ProtocolContext& ctx);
 
   /// Called when `slot` adopts a fresh message (its previous one, if any,
   /// completed). The slot's per-message state starts over.
-  virtual void on_message_start(std::uint32_t slot) = 0;
+  void on_message_start(std::uint32_t slot);
 
   /// Appends slot `slot`'s transmitters for its message-local round
   /// `local_round` (1-based) to `out` (cleared by the caller). `view` is the
   /// per-node knowledge surface of THAT message's broadcast session.
-  virtual void select_transmitters(std::uint32_t slot,
-                                   std::uint32_t local_round,
-                                   const SessionView& view, Rng& rng,
-                                   std::vector<NodeId>& out) = 0;
-};
-
-/// Factory for the single-message protocol an adapter slot runs.
-using SlotProtocolFactory = std::function<std::unique_ptr<Protocol>()>;
-
-/// Wraps any one-shot Protocol into a depth-D streaming pipeline: one
-/// independent instance per slot, reset at each message start. The wrapped
-/// protocol must not want observations (the stream loop feeds none).
-class PipelinedAdapter final : public StreamingProtocol {
- public:
-  PipelinedAdapter(std::string label, std::uint32_t depth,
-                   SlotProtocolFactory factory);
-
-  std::string name() const override { return label_; }
-  std::uint32_t pipeline_depth() const override { return depth_; }
-  void reset(const ProtocolContext& ctx) override;
-  void on_message_start(std::uint32_t slot) override;
   void select_transmitters(std::uint32_t slot, std::uint32_t local_round,
                            const SessionView& view, Rng& rng,
-                           std::vector<NodeId>& out) override;
+                           std::vector<NodeId>& out);
 
  private:
   std::string label_;

@@ -36,17 +36,6 @@ bool Bitset::all() const noexcept {
   return true;
 }
 
-void Bitset::collect(std::vector<std::uint32_t>& out) const {
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    std::uint64_t w = words_[wi];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      out.push_back(static_cast<std::uint32_t>(wi * 64 + bit));
-      w &= w - 1;
-    }
-  }
-}
-
 std::size_t Bitset::set_union(const Bitset& other) noexcept {
   RADIO_EXPECTS(other.size_ == size_);
   std::size_t gained = 0;

@@ -105,8 +105,20 @@ class Bitset {
   /// True iff every bit in [0, size) is set.
   bool all() const noexcept;
 
+  /// Calls fn(i) for every set bit i, ascending: O(size/64 + count) — the
+  /// one walk protocols use over an informed set, so visiting order (and
+  /// with it every per-node random draw) is ascending id order everywhere.
+  template <class Fn>
+  void for_each_set(Fn&& fn) const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi)
+      for_each_set_bit(words_[wi], wi * 64, fn);
+  }
+
   /// Appends the indices of all set bits to `out` in increasing order.
-  void collect(std::vector<std::uint32_t>& out) const;
+  void collect(std::vector<std::uint32_t>& out) const {
+    for_each_set(
+        [&](std::size_t i) { out.push_back(static_cast<std::uint32_t>(i)); });
+  }
 
   /// Index of the lowest clear bit, or size() if all bits are set.
   std::size_t find_first_clear() const noexcept;

@@ -4,7 +4,10 @@
 #include <cmath>
 
 #include "analysis/workload.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/round_robin.hpp"
+#include "protocols/uniform_gossip.hpp"
 
 namespace radio {
 namespace {
@@ -79,6 +82,23 @@ TEST(GossipSession, CompletionOnPathViaSweeps) {
   EXPECT_DOUBLE_EQ(session.coverage(), 1.0);
 }
 
+TEST(GossipSession, ViewMarksEveryNodeInformed) {
+  const Graph g = path(70);  // spans two informed-set words
+  GossipSession session(g);
+  session.step(std::vector<NodeId>{1});
+  const SessionView view = session;
+  EXPECT_EQ(view.num_nodes(), 70u);
+  EXPECT_EQ(view.informed_count(), 70u);
+  std::vector<NodeId> walked;
+  view.for_each_informed([&](NodeId v) { walked.push_back(v); });
+  ASSERT_EQ(walked.size(), 70u);
+  for (NodeId v = 0; v < 70; ++v) {
+    EXPECT_EQ(walked[v], v);
+    EXPECT_TRUE(view.informed(v));
+    EXPECT_EQ(view.informed_round(v), 0u);  // every rumor held since round 0
+  }
+}
+
 TEST(GossipSession, StatsTrackTotals) {
   const Graph g = path(3);
   GossipSession session(g);
@@ -91,7 +111,7 @@ TEST(GossipSession, StatsTrackTotals) {
 }
 
 TEST(GossipProtocols, UniformDefaultsToOneOverD) {
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   protocol.reset(ProtocolContext{1000, 0.04});  // d = 40
   EXPECT_NEAR(protocol.probability(), 0.025, 1e-12);
 }
@@ -99,7 +119,7 @@ TEST(GossipProtocols, UniformDefaultsToOneOverD) {
 TEST(GossipProtocols, RoundRobinPicksSingleNode) {
   const Graph g = path(5);
   GossipSession session(g);
-  RoundRobinGossip protocol;
+  RoundRobinProtocol protocol;
   protocol.reset(ProtocolContext{5, 0.5});
   Rng rng(1);
   std::vector<NodeId> out;
@@ -114,7 +134,7 @@ TEST(GossipProtocols, RoundRobinPicksSingleNode) {
 TEST(GossipProtocols, RoundRobinCompletesOnPath) {
   const Graph g = path(5);
   GossipSession session(g);
-  RoundRobinGossip protocol;
+  RoundRobinProtocol protocol;
   Rng rng(2);
   const GossipRun run =
       run_gossip(protocol, ProtocolContext{5, 0.4}, session, rng, 200);
@@ -129,7 +149,7 @@ TEST(GossipProtocols, UniformCompletesOnGnp) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(n, ln_n * ln_n), rng);
   GossipSession session(instance.graph);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   const GossipRun run =
       run_gossip(protocol, context_for(instance), session, rng,
                  static_cast<std::uint32_t>(400.0 * ln_n));
@@ -143,7 +163,7 @@ TEST(GossipProtocols, DecayCompletesOnGnp) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(n, ln_n * ln_n), rng);
   GossipSession session(instance.graph);
-  DecayGossip protocol;
+  DecayProtocol protocol;
   const GossipRun run =
       run_gossip(protocol, context_for(instance), session, rng,
                  static_cast<std::uint32_t>(1000.0 * ln_n));
@@ -155,7 +175,7 @@ TEST(GossipProtocols, KnowledgeIsMonotone) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(128, 16.0), rng);
   GossipSession session(instance.graph);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   protocol.reset(context_for(instance));
   std::vector<NodeId> out;
   std::uint64_t previous = session.total_knowledge();
@@ -173,13 +193,52 @@ TEST(GossipProtocols, BudgetExhaustionReportsCoverage) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(256, 30.0), rng);
   GossipSession session(instance.graph);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   const GossipRun run =
       run_gossip(protocol, context_for(instance), session, rng, 5);
   EXPECT_FALSE(run.completed);
   EXPECT_EQ(run.rounds, 5u);
   EXPECT_GT(run.coverage, 0.0);
   EXPECT_LT(run.coverage, 1.0);
+}
+
+// Every node informed, the broadcast protocols are the gossip schedulers:
+// pins the rounds, transmissions and coverage each one reaches on a fixed
+// instance, so a change to how they walk the informed set shows up here
+// and not first as a drift in E12's table.
+TEST(GossipProtocols, RunDigestPinned) {
+  Rng rng(12);
+  const NodeId n = 256;
+  const double ln_n = std::log(static_cast<double>(n));
+  const BroadcastInstance instance =
+      make_broadcast_instance(GnpParams::with_degree(n, ln_n * ln_n), rng);
+  UniformGossipProtocol uniform;
+  RoundRobinProtocol round_robin;
+  DecayProtocol decay;
+  struct Case {
+    Protocol* protocol;
+    std::uint32_t budget;
+    std::uint32_t rounds;
+    std::uint64_t transmissions;
+    double coverage;
+  };
+  const auto full = static_cast<std::uint32_t>(1000.0 * ln_n);
+  const Case cases[] = {
+      {&uniform, full, 308, 2609, 1.0},
+      {&uniform, 40, 40, 349, 0.610107421875},
+      {&round_robin, 16 * n, 318, 318, 1.0},
+      {&decay, full, 742, 47718, 1.0},
+  };
+  std::uint64_t stream = 0;
+  for (const Case& c : cases) {
+    GossipSession session(instance.graph);
+    Rng run_rng = Rng::for_stream(13, stream++);
+    const GossipRun run = run_gossip(*c.protocol, context_for(instance),
+                                     session, run_rng, c.budget);
+    EXPECT_EQ(run.rounds, c.rounds) << c.protocol->name();
+    EXPECT_EQ(run.transmissions, c.transmissions) << c.protocol->name();
+    EXPECT_EQ(run.coverage, c.coverage) << c.protocol->name();
+  }
 }
 
 }  // namespace

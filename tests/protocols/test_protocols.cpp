@@ -4,9 +4,14 @@
 #include <cmath>
 
 #include "analysis/workload.hpp"
+#include "core/adversary.hpp"
+#include "core/distributed.hpp"
+#include "core/lower_bound.hpp"
+#include "protocols/adaptive_backoff.hpp"
 #include "protocols/decay.hpp"
 #include "protocols/flooding.hpp"
 #include "protocols/round_robin.hpp"
+#include "protocols/selective_family.hpp"
 #include "protocols/uniform_gossip.hpp"
 #include "sim/runner.hpp"
 
@@ -203,6 +208,111 @@ TEST(UniformGossip, SlowerThanTheorem7Start) {
   }
   // P(source transmits within 3 rounds) = 1-(1-1/d)^3 ~ 5%; allow 4x.
   EXPECT_GE(slow_starts, trials - 4);
+}
+
+
+// FNV-1a over every round's transmitter list (its length, then its ids) as
+// run_protocol hands it to the session. Pins each protocol's exact draw
+// sequence: a change in how a protocol walks the informed set must
+// reproduce every transmitter of every round, not just the round count.
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+void fnv_mix(std::uint64_t& h, std::uint32_t x) {
+  for (int byte = 0; byte < 4; ++byte) {
+    h ^= (x >> (8 * byte)) & 0xffu;
+    h *= 1099511628211ULL;
+  }
+}
+
+class SelectionDigest final : public Protocol {
+ public:
+  explicit SelectionDigest(Protocol& inner) : inner_(&inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  bool is_distributed() const override { return inner_->is_distributed(); }
+  void reset(const ProtocolContext& ctx) override { inner_->reset(ctx); }
+  void select_transmitters(std::uint32_t round, const SessionView& session,
+                           Rng& rng, std::vector<NodeId>& out) override {
+    inner_->select_transmitters(round, session, rng, out);
+    mix(static_cast<std::uint32_t>(out.size()));
+    for (const NodeId v : out) mix(v);
+  }
+  bool wants_observations() const override {
+    return inner_->wants_observations();
+  }
+  void observe(std::uint32_t round,
+               std::span<const ChannelObservation> observations) override {
+    inner_->observe(round, observations);
+  }
+
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  void mix(std::uint32_t x) { fnv_mix(h_, x); }
+
+  Protocol* inner_;
+  std::uint64_t h_ = kFnvBasis;
+};
+
+TEST(Protocols, SelectionDigestPinned) {
+  // The instance Gnp.CsrInstanceDigestPinned pins byte for byte.
+  Rng graph_rng(2);
+  const GnpParams params =
+      GnpParams::with_degree(1000, 3.0 * std::log(1000.0));
+  const Graph g = generate_gnp(params, graph_rng);
+  const ProtocolContext ctx{params.n, params.p};
+  constexpr std::uint32_t kBudget = 120;
+
+  FloodingProtocol flooding;
+  UniformGossipProtocol uniform;
+  AdaptiveBackoffProtocol backoff;
+  SelectiveFamilyProtocol selective;
+  ObliviousSequenceProtocol oblivious(
+      theorem7_oblivious_sequence(ctx, kBudget));
+  SmallSetScheduleProtocol small_set(2);
+  ElsasserGasieniecBroadcast theorem7;
+  ElsasserGasieniecBroadcast theorem7_all({1.0, true});
+  DecayProtocol decay;
+  struct Case {
+    Protocol* protocol;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {&flooding, 728088718210442681ULL},
+      {&uniform, 13807273659539700651ULL},
+      {&backoff, 9010472808227207533ULL},
+      {&selective, 8740504065839929198ULL},
+      {&oblivious, 14654761726004743036ULL},
+      {&small_set, 210769468507226975ULL},
+      {&theorem7, 9886846418909394507ULL},
+      {&theorem7_all, 16695325445918043484ULL},
+      {&decay, 11977795777508668149ULL},
+  };
+  std::uint64_t stream = 0;
+  for (const Case& c : cases) {
+    SelectionDigest digest(*c.protocol);
+    BroadcastSession session(g, 0);
+    Rng rng = Rng::for_stream(7, stream++);
+    run_protocol(digest, ctx, session, rng, kBudget);
+    EXPECT_EQ(digest.value(), c.digest) << c.protocol->name();
+  }
+
+  // The guided adversary's greedy seed: with one seed and no generations the
+  // certificate IS the greedy max-coverage schedule.
+  GuidedSearchParams search;
+  search.round_budget = kBudget;
+  search.generations = 0;
+  search.population = 1;
+  Rng search_rng(8);
+  const GuidedSearchOutcome outcome =
+      guided_small_set_search(g, 0, search, search_rng);
+  std::uint64_t h = kFnvBasis;
+  for (const SmallRoundSet& set : outcome.certificate.small_sets) {
+    fnv_mix(h, set.size);
+    for (std::uint8_t i = 0; i < set.size; ++i) fnv_mix(h, set.node[i]);
+  }
+  EXPECT_EQ(outcome.certificate.rounds, 86u);
+  EXPECT_EQ(h, 16248026560020478180ULL);
 }
 
 }  // namespace
