@@ -141,6 +141,28 @@ fi
 rm -rf "$GOSSIP_DIR_1" "$GOSSIP_DIR_4"
 echo "ci: gossip smoke ok (E12 thread determinism)" >&2
 
+# The batch engine's fold choice must not show in results either. E7's
+# probe batches hold at most 12 trials at --quick, so --batch 32 runs
+# 12-lane engines that pull in many rounds, while --batch 2 runs 2-lane
+# engines that nearly always push. Their fold counts (the manifest note)
+# must differ, and their metrics must not.
+FOLD_DIR_2="$(mktemp -d)"; FOLD_DIR_32="$(mktemp -d)"
+"$BUILD_DIR/bench/radio_bench" run E7 --trials 2 --seed 7 --quick --batch 2 \
+  --out "$FOLD_DIR_2" > /dev/null
+"$BUILD_DIR/bench/radio_bench" run E7 --trials 2 --seed 7 --quick --batch 32 \
+  --out "$FOLD_DIR_32" > /dev/null
+if ! diff <(grep -v '"event":"summary"' "$FOLD_DIR_2/metrics.jsonl") \
+          <(grep -v '"event":"summary"' "$FOLD_DIR_32/metrics.jsonl"); then
+  echo "ci: E7 metrics differ between --batch 2 and 32" >&2; exit 1
+fi
+if diff <(grep -o 'batch engine folds[^"]*' "$FOLD_DIR_2/e7.manifest.json") \
+        <(grep -o 'batch engine folds[^"]*' "$FOLD_DIR_32/e7.manifest.json") \
+        > /dev/null; then
+  echo "ci: E7 --batch 2 and 32 ran the same fold mix" >&2; exit 1
+fi
+rm -rf "$FOLD_DIR_2" "$FOLD_DIR_32"
+echo "ci: batch fold smoke ok (E7 push/pull mixes agree)" >&2
+
 # ----------------------------------------------------------- giant-n smoke
 # The implicit backend's reason to exist: one E2 row at n = 10^7 driven
 # end to end through ImplicitGnp (skippable alongside the sanitizers for the

@@ -89,6 +89,7 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
   std::uint64_t next_stream = 0;
   std::uint64_t candidates_seen = 0;
   std::uint64_t candidates_completed = 0;
+  BatchFoldCounts folds;
 
   const auto evaluate = [&](const std::vector<Genotype>& candidates) {
     const int units = static_cast<int>(candidates.size()) * tpc;
@@ -100,7 +101,7 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
     };
     const std::vector<BroadcastRun> runs =
         run_broadcast_batch(g, ctx, source, units, probe_seed, first, factory,
-                            params.round_budget, params.batch_lanes);
+                            params.round_budget, params.batch_lanes, &folds);
     std::vector<Evaluated> evals(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       Evaluated& e = evals[c];
@@ -217,6 +218,7 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
   outcome.completed_fraction = static_cast<double>(candidates_completed) /
                                static_cast<double>(candidates_seen);
   outcome.certificate = std::move(cert);
+  outcome.folds = folds;
   return outcome;
 }
 

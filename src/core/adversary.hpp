@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sim/batch/batch_engine.hpp"
 #include "sim/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -120,6 +121,8 @@ struct GuidedSearchOutcome {
   /// Fraction of ALL evaluated candidates whose every trial completed.
   double completed_fraction = 0.0;
   AdversaryCertificate certificate;
+  /// Batch-engine fold choices summed over every probe batch of the search.
+  BatchFoldCounts folds;
 };
 
 /// Theorem 8 adversary: (1+λ) search over oblivious per-round probability

@@ -30,6 +30,7 @@ void ElsasserGasieniecBroadcast::reset(const ProtocolContext& ctx) {
   kickoff_probability_ = std::min(1.0, std::max(kick, 1.0 / n));
 
   tail_probability_ = std::min(1.0, options_.selective_rate_scale / d);
+  tail_knowers_.clear();
 }
 
 double ElsasserGasieniecBroadcast::transmit_probability(
@@ -43,13 +44,21 @@ void ElsasserGasieniecBroadcast::select_transmitters(
     std::uint32_t round, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
   const double prob = transmit_probability(round);
-  const bool tail = round > switch_round_;
-  session.for_each_informed([&](NodeId v) {
-    if (tail && !options_.tail_includes_late_informed &&
-        session.informed_round(v) > switch_round_)
-      return;  // the paper's tail: only rounds-1…D knowers transmit
+  if (round <= switch_round_ || options_.tail_includes_late_informed) {
+    session.for_each_informed([&](NodeId v) {
+      if (prob >= 1.0 || rng.bernoulli(prob)) out.push_back(v);
+    });
+    return;
+  }
+  // The paper's tail: only rounds-1…D knowers transmit.
+  if (tail_knowers_.empty()) {
+    session.for_each_informed([&](NodeId v) {
+      if (session.informed_round(v) <= switch_round_)
+        tail_knowers_.push_back(v);
+    });
+  }
+  for (const NodeId v : tail_knowers_)
     if (prob >= 1.0 || rng.bernoulli(prob)) out.push_back(v);
-  });
 }
 
 }  // namespace radio

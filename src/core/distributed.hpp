@@ -15,9 +15,15 @@
 // The restriction of the selective tail to early-informed nodes is the
 // paper's; `tail_includes_late_informed` switches to the natural variant
 // where every informed node joins the lottery (E3 compares both).
+//
+// The paper's tail set is fixed once round D has been stepped (a node's
+// informed round never changes), so the first tail call lists it once,
+// ascending, and every tail round draws over that list — the same nodes in
+// the same order as a scan of the informed set, so the same draws.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/protocol.hpp"
 
@@ -59,6 +65,10 @@ class ElsasserGasieniecBroadcast final : public Protocol {
   std::uint32_t switch_round_ = 1;  ///< D
   double kickoff_probability_ = 1.0;
   double tail_probability_ = 1.0;
+  /// Ascending nodes informed in rounds 0…D: the paper's tail transmitters,
+  /// listed at the first tail call after reset() (the source is always
+  /// one, so the list is never empty once built).
+  std::vector<NodeId> tail_knowers_;
 };
 
 }  // namespace radio

@@ -21,9 +21,10 @@ void append_forward_stream(NodeId n, double p, std::uint64_t seed, NodeId v,
     return;
   }
   Rng rng = Rng::for_stream(seed, v);
+  const GeometricSkips skips(p);
   std::uint64_t offset = 0;  // candidates consumed so far
   while (true) {
-    const std::uint64_t skip = rng.geometric_skips(p);
+    const std::uint64_t skip = skips(rng);
     if (skip >= span - offset) break;
     offset += skip;
     out.push_back(static_cast<NodeId>(v + 1 + offset));

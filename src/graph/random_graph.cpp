@@ -94,11 +94,12 @@ std::vector<Edge> sample_gnp_edges(NodeId n, double p, Rng& rng) {
   // (total_pairs < 2^63 for every legal n, so total_pairs - idx never
   // underflows either). One geometric draw per emitted edge plus one final
   // overshooting draw — the same sequence as the historical int64 walk.
+  const GeometricSkips skips(p);
   std::uint64_t idx = 0;
   std::uint64_t row = 1;              // row of the current candidate pair
   std::uint64_t row_start = 0;        // triangle_start(row)
   while (true) {
-    const std::uint64_t skip = rng.geometric_skips(p);
+    const std::uint64_t skip = skips(rng);
     if (skip >= total_pairs - idx) break;  // skipped past the last pair
     idx += skip;
     if (idx - row_start >= row) {

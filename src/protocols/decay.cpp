@@ -25,11 +25,13 @@ void DecayProtocol::select_transmitters(std::uint32_t round,
     session.for_each_informed([&](NodeId v) { active_.push_back(v); });
   }
   // Every active node transmits, then survives into the next round of the
-  // phase with probability 1/2; the in-place compaction keeps ids ascending.
+  // phase with probability 1/2; the branch-free in-place compaction keeps
+  // ids ascending.
+  out.insert(out.end(), active_.begin(), active_.end());
   std::size_t kept = 0;
   for (const NodeId v : active_) {
-    out.push_back(v);
-    if (rng.bernoulli(0.5)) active_[kept++] = v;
+    active_[kept] = v;
+    kept += static_cast<std::size_t>(rng.bernoulli(0.5));
   }
   active_.resize(kept);
 }

@@ -1,5 +1,6 @@
 #include "sim/batch/batch_engine.hpp"
 
+#include "sim/channel_kernel.hpp"
 #include "util/assert.hpp"
 
 namespace radio {
@@ -71,6 +72,7 @@ void BatchEngine::add_transmitters(std::uint32_t lane,
     if (!tx_flag_[v]) {
       tx_flag_[v] = 1;
       tx_nodes_.push_back(v);
+      tx_degree_sum_ += graph_->degree(v);
     }
     // An uninformed transmitter jams but can deliver nothing: drop the lane
     // from the fast "every sender is informed" classification mask.
@@ -80,6 +82,52 @@ void BatchEngine::add_transmitters(std::uint32_t lane,
   tx_count_[lane] += static_cast<std::uint32_t>(vs.size());
 }
 
+inline void BatchEngine::classify(NodeId w, std::size_t k, std::uint64_t once,
+                                  std::uint64_t twice) {
+  // Transmitters never receive.
+  const std::uint64_t listeners = ~plane(tx_, w)[k];
+  const std::uint64_t colliding = twice & listeners;
+  if (colliding != 0)
+    for_each_set_bit(colliding, k * 64, [&](std::size_t lane) {
+      ++outcome_[lane].collisions;
+    });
+  const std::uint64_t unique = once & ~twice & listeners;
+  if (unique == 0) return;
+  // Lanes whose transmitters are all informed deliver without resolving the
+  // sender; the rest need the sender's informed bit.
+  std::uint64_t message = unique & all_tx_informed_[k];
+  std::uint64_t resolve = unique & ~all_tx_informed_[k];
+  if (resolve != 0) {
+    for (NodeId u : graph_->neighbors(w)) {
+      const std::uint64_t hit = resolve & plane(tx_, u)[k];
+      if (hit == 0) continue;
+      // u is THE transmitting neighbor in the lanes of `hit`; informed bits
+      // of a transmitter cannot change mid-step, so this reads the
+      // pre-round value.
+      message |= hit & plane(informed_p_, u)[k];
+      resolve &= ~hit;
+      if (resolve == 0) break;
+    }
+  }
+  if (message == 0) return;
+  std::uint64_t& infw = plane(informed_p_, w)[k];
+  const std::uint64_t redundant = message & infw;
+  if (redundant != 0)
+    for_each_set_bit(redundant, k * 64, [&](std::size_t lane) {
+      ++outcome_[lane].redundant;
+    });
+  const std::uint64_t fresh = message & ~infw;
+  if (fresh != 0) {
+    infw |= fresh;
+    for_each_set_bit(fresh, k * 64, [&](std::size_t lane) {
+      informed_mirror_[lane].set(w);
+      informed_round_[lane][w] = round_[lane];
+      ++informed_count_[lane];
+      ++outcome_[lane].newly_informed;
+    });
+  }
+}
+
 void BatchEngine::step(std::span<const std::uint32_t> active) {
   for (std::uint32_t lane : active) {
     RADIO_EXPECTS(lane < lane_count_);
@@ -87,108 +135,81 @@ void BatchEngine::step(std::span<const std::uint32_t> active) {
     ++round_[lane];
   }
 
-  // Fold every transmitter's neighborhood into the hit counters; one pass
-  // over the shared adjacency serves all lanes at once. stride 1 — up to 64
-  // lanes, by far the common case — gets a branch-free single-word inner
-  // loop; the generic loop handles wider lane masks.
-  if (stride_ == 1) {
-    for (NodeId u : tx_nodes_) {
-      const std::uint64_t txu = tx_[u];
-      for (NodeId w : graph_->neighbors(u)) {
-        if (!touched_flag_[w]) {
-          touched_flag_[w] = 1;
-          touched_.push_back(w);
-        }
-        const std::uint64_t o = once_[w];
-        twice_[w] |= o & txu;
-        once_[w] = o | txu;
+  if (stride_ == 1 &&
+      batch_pull_fold_pays(graph_->num_edges(), tx_degree_sum_)) {
+    // Pull: every node gathers its neighbors' tx words into registers and
+    // is classified on the spot; once_/twice_ and the touched list stay
+    // untouched.
+    ++folds_.pull;
+    const NodeId n = graph_->num_nodes();
+    for (NodeId w = 0; w < n; ++w) {
+      std::uint64_t once = 0;
+      std::uint64_t twice = 0;
+      for (NodeId u : graph_->neighbors(w)) {
+        const std::uint64_t txu = tx_[u];
+        twice |= once & txu;
+        once |= txu;
       }
+      if (once != 0) classify(w, 0, once, twice);
     }
   } else {
-    for (NodeId u : tx_nodes_) {
-      const std::uint64_t* txu = plane(tx_, u);
-      for (NodeId w : graph_->neighbors(u)) {
-        if (!touched_flag_[w]) {
-          touched_flag_[w] = 1;
-          touched_.push_back(w);
+    // Push: fold every transmitter's neighborhood into the hit planes; one
+    // pass over the union serves all lanes at once. stride 1 gets a
+    // branch-free single-word inner loop; the generic loop handles wider
+    // lane masks.
+    ++folds_.push;
+    if (stride_ == 1) {
+      for (NodeId u : tx_nodes_) {
+        const std::uint64_t txu = tx_[u];
+        for (NodeId w : graph_->neighbors(u)) {
+          if (!touched_flag_[w]) {
+            touched_flag_[w] = 1;
+            touched_.push_back(w);
+          }
+          const std::uint64_t o = once_[w];
+          twice_[w] |= o & txu;
+          once_[w] = o | txu;
         }
-        std::uint64_t* oncew = plane(once_, w);
-        std::uint64_t* twicew = plane(twice_, w);
-        for (std::size_t k = 0; k < stride_; ++k) {
-          twicew[k] |= oncew[k] & txu[k];
-          oncew[k] |= txu[k];
+      }
+    } else {
+      for (NodeId u : tx_nodes_) {
+        const std::uint64_t* txu = plane(tx_, u);
+        for (NodeId w : graph_->neighbors(u)) {
+          if (!touched_flag_[w]) {
+            touched_flag_[w] = 1;
+            touched_.push_back(w);
+          }
+          std::uint64_t* oncew = plane(once_, w);
+          std::uint64_t* twicew = plane(twice_, w);
+          for (std::size_t k = 0; k < stride_; ++k) {
+            twicew[k] |= oncew[k] & txu[k];
+            oncew[k] |= txu[k];
+          }
         }
       }
     }
+    // Classify every hit listener lane-word by lane-word, then reset the
+    // hit planes via the touched list (never O(n·stride)).
+    for (NodeId w : touched_) {
+      std::uint64_t* oncew = plane(once_, w);
+      std::uint64_t* twicew = plane(twice_, w);
+      for (std::size_t k = 0; k < stride_; ++k) {
+        classify(w, k, oncew[k], twicew[k]);
+        oncew[k] = 0;
+        twicew[k] = 0;
+      }
+      touched_flag_[w] = 0;
+    }
+    touched_.clear();
   }
 
-  // Classify every hit listener, lane-word by lane-word.
-  for (NodeId w : touched_) {
-    const std::uint64_t* oncew = plane(once_, w);
-    const std::uint64_t* twicew = plane(twice_, w);
-    const std::uint64_t* txw = plane(tx_, w);
-    std::uint64_t* infw = plane(informed_p_, w);
-    for (std::size_t k = 0; k < stride_; ++k) {
-      const std::uint64_t listeners = ~txw[k];  // transmitters never receive
-      const std::uint64_t colliding = twicew[k] & listeners;
-      if (colliding != 0)
-        for_each_set_bit(colliding, k * 64, [&](std::size_t lane) {
-          ++outcome_[lane].collisions;
-        });
-      const std::uint64_t unique = oncew[k] & ~twicew[k] & listeners;
-      if (unique == 0) continue;
-      // Lanes whose transmitters are all informed deliver without resolving
-      // the sender; the rest need the sender's informed bit.
-      std::uint64_t message = unique & all_tx_informed_[k];
-      std::uint64_t resolve = unique & ~all_tx_informed_[k];
-      if (resolve != 0) {
-        for (NodeId u : graph_->neighbors(w)) {
-          const std::uint64_t hit = resolve & plane(tx_, u)[k];
-          if (hit == 0) continue;
-          // u is THE transmitting neighbor in the lanes of `hit`; informed
-          // bits of a transmitter cannot change mid-step, so this reads the
-          // pre-round value.
-          message |= hit & plane(informed_p_, u)[k];
-          resolve &= ~hit;
-          if (resolve == 0) break;
-        }
-      }
-      if (message == 0) continue;
-      const std::uint64_t redundant = message & infw[k];
-      if (redundant != 0)
-        for_each_set_bit(redundant, k * 64, [&](std::size_t lane) {
-          ++outcome_[lane].redundant;
-        });
-      const std::uint64_t fresh = message & ~infw[k];
-      if (fresh != 0) {
-        infw[k] |= fresh;
-        for_each_set_bit(fresh, k * 64, [&](std::size_t lane) {
-          informed_mirror_[lane].set(w);
-          informed_round_[lane][w] = round_[lane];
-          ++informed_count_[lane];
-          ++outcome_[lane].newly_informed;
-        });
-      }
-    }
-  }
-
-  // Reset scratch via the touched lists (never O(n·stride)).
-  for (NodeId w : touched_) {
-    std::uint64_t* oncew = plane(once_, w);
-    std::uint64_t* twicew = plane(twice_, w);
-    for (std::size_t k = 0; k < stride_; ++k) {
-      oncew[k] = 0;
-      twicew[k] = 0;
-    }
-    touched_flag_[w] = 0;
-  }
-  touched_.clear();
   for (NodeId u : tx_nodes_) {
     std::uint64_t* txu = plane(tx_, u);
     for (std::size_t k = 0; k < stride_; ++k) txu[k] = 0;
     tx_flag_[u] = 0;
   }
   tx_nodes_.clear();
+  tx_degree_sum_ = 0;
   for (std::uint32_t lane : active) tx_count_[lane] = 0;
   for (std::size_t k = 0; k < stride_; ++k)
     all_tx_informed_[k] = ~std::uint64_t{0};

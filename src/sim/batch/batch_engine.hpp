@@ -7,9 +7,10 @@
 // word says what lane l's instance knows about v. One pass over the shared
 // adjacency therefore advances ALL lanes: folding transmitter u's neighbor w
 // costs ⌈B/64⌉ word ops and serves every lane in which u transmits — the
-// per-round work is Σ over the UNION of the lanes' transmitter sets, not the
-// sum, which is where the batch speedup comes from (protocols with
-// overlapping transmitter sets, e.g. flood-like phases, amortize best).
+// per-round work is Σ over the UNION of the lanes' transmitter sets (capped
+// at 2m by the pull fold below), not the sum, which is where the batch
+// speedup comes from (protocols with overlapping transmitter sets, e.g.
+// flood-like phases, amortize best).
 //
 // Semantics per lane are EXACTLY RoundResolver's (sim/round_resolver.hpp):
 // a listener receives iff precisely one neighbor transmits, ≥ 2 jam,
@@ -17,6 +18,24 @@
 // jams delivery of nothing. The differential suite
 // (tests/sim/test_batch_engine.cpp, tests/property/test_batch_equivalence.cpp)
 // pins round-by-round equality against BroadcastSession for every lane.
+//
+// Two folds. A round first folds the transmitters into per-listener hit
+// words (the saturating counter twice |= once & tx; once |= tx), then
+// classifies every hit listener with one shared body (classify()):
+//   * push — each transmitter of the lanes' UNION scatters its tx word into
+//     its neighbors' once/twice planes; touched lists bound classification
+//     and the reset to the listeners actually hit. Costs Σ deg(union)
+//     read-modify-writes.
+//   * pull — each node w ORs its neighbors' tx words into register
+//     once/twice words and is classified in place: no scatter, no touched
+//     list, no reset. Costs one read per adjacency entry (2m), sequential
+//     over the CSR.
+// step() picks per round with batch_pull_fold_pays (sim/channel_kernel.hpp):
+// pull once Σ deg(union) reaches m/4, an eighth of the graph's 2m edge
+// ends, which at 64 lanes is most rounds of a flood-like protocol. Wider
+// lane masks (stride > 1) always push. Both folds compute the same hit
+// words and the classification is order-free (per-lane tallies and set
+// bits), so the choice never changes results; fold_counts() records it.
 //
 // In-round mutation safety: informed bits are set the moment a delivery is
 // classified. This cannot race with the unique-sender resolution of another
@@ -44,6 +63,20 @@ namespace radio {
 /// scheduler's memory gate (batch_lanes_for) clamps far earlier in practice.
 /// Every lane-width input (--batch, RADIO_BATCH) is parsed against it.
 inline constexpr std::uint32_t kMaxBatchLanes = 4096;
+
+/// Which fold each step() ran, tallied over an engine's lifetime. A
+/// deterministic counter: it depends on the graph, the lane width and the
+/// transmitter sets only, never on timing or thread count.
+struct BatchFoldCounts {
+  std::uint64_t push = 0;  ///< steps folded transmitter by transmitter
+  std::uint64_t pull = 0;  ///< steps folded listener by listener
+
+  BatchFoldCounts& operator+=(const BatchFoldCounts& o) noexcept {
+    push += o.push;
+    pull += o.pull;
+    return *this;
+  }
+};
 
 class BatchEngine {
  public:
@@ -110,6 +143,9 @@ class BatchEngine {
     return outcome_[lane];
   }
 
+  /// Push and pull steps since construction (compact() keeps them).
+  const BatchFoldCounts& fold_counts() const noexcept { return folds_; }
+
   /// Retires lane slots: lane i of the compacted engine is old lane
   /// `old_lane_of_new[i]` (strictly increasing). Shrinking the lane count
   /// shrinks lane_words(), and with it the per-word cost of every subsequent
@@ -126,13 +162,20 @@ class BatchEngine {
     return p.data() + static_cast<std::size_t>(v) * stride_;
   }
 
+  /// The channel rule for listener w's lane word k, given its hit words:
+  /// tallies collisions, resolves unique senders and delivers. Shared by
+  /// both folds.
+  void classify(NodeId w, std::size_t k, std::uint64_t once,
+                std::uint64_t twice);
+
   const Graph* graph_;
   std::uint32_t lane_count_;
   std::size_t stride_;  ///< words per lane slice
 
   // Lane-sliced planes, node-major: node v's slice is words [v·stride,
   // (v+1)·stride). once_/twice_/tx_ are all-zero between rounds (reset via
-  // touched lists, never O(n·stride)).
+  // touched lists, never O(n·stride)); the pull fold never writes
+  // once_/twice_.
   std::vector<std::uint64_t> informed_p_;
   std::vector<std::uint64_t> once_;
   std::vector<std::uint64_t> twice_;
@@ -150,12 +193,14 @@ class BatchEngine {
   // Round scratch.
   std::vector<NodeId> tx_nodes_;        ///< union of this round's transmitters
   std::vector<std::uint8_t> tx_flag_;   ///< node in tx_nodes_?
+  EdgeCount tx_degree_sum_ = 0;         ///< Σ deg over tx_nodes_
   std::vector<std::uint32_t> tx_count_; ///< per lane
   /// Bit l set while every transmitter registered by lane l is informed —
   /// then a unique sender in lane l delivers without resolving WHO sent.
   std::vector<std::uint64_t> all_tx_informed_;
-  std::vector<NodeId> touched_;         ///< listeners hit this round
+  std::vector<NodeId> touched_;         ///< listeners hit this round (push)
   std::vector<std::uint8_t> touched_flag_;
+  BatchFoldCounts folds_;
 };
 
 }  // namespace radio

@@ -56,14 +56,17 @@ std::vector<BroadcastRun> run_broadcast_batch(
     const Graph& g, const ProtocolContext& ctx, NodeId source, int trials,
     std::uint64_t seed, std::uint64_t first_stream,
     const ProtocolFactory& factory, std::uint32_t max_rounds,
-    std::uint32_t lanes) {
+    std::uint32_t lanes, BatchFoldCounts* folds) {
   RADIO_EXPECTS(trials >= 0);
   const BatchDispatch plan = plan_broadcast_batch(g, trials, factory, lanes);
   const std::uint32_t effective = plan.lanes;
 
   if (plan.path == BatchDispatch::Path::kBatched) {
     BatchScheduler scheduler(g, ctx, effective, max_rounds);
-    return scheduler.run(seed, first_stream, trials, source, factory);
+    std::vector<BroadcastRun> runs =
+        scheduler.run(seed, first_stream, trials, source, factory);
+    if (folds) *folds += scheduler.fold_counts();
+    return runs;
   }
 
   std::vector<BroadcastRun> results(static_cast<std::size_t>(trials));

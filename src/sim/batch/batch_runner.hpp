@@ -72,10 +72,13 @@ BatchDispatch plan_broadcast_batch(const Graph& g, int trials,
 ///
 /// `factory` must be pure (no side effects): the dispatcher probes
 /// factory(0) once to detect observation-feedback protocols.
+///
+/// `folds`, when non-null, is incremented by the batch engine's push and
+/// pull step counts (unchanged on the per-instance path).
 std::vector<BroadcastRun> run_broadcast_batch(
     const Graph& g, const ProtocolContext& ctx, NodeId source, int trials,
     std::uint64_t seed, std::uint64_t first_stream,
     const ProtocolFactory& factory, std::uint32_t max_rounds,
-    std::uint32_t lanes);
+    std::uint32_t lanes, BatchFoldCounts* folds = nullptr);
 
 }  // namespace radio

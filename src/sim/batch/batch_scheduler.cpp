@@ -119,6 +119,7 @@ std::vector<BroadcastRun> BatchScheduler::run(std::uint64_t seed,
       lanes_[lane].partial.collisions += o.collisions;
     }
   }
+  folds_ = engine_->fold_counts();
   engine_.reset();
   return results;
 }

@@ -48,6 +48,9 @@ class BatchScheduler {
   /// Lane compactions performed by the most recent run() (tests).
   std::uint32_t compactions() const noexcept { return compactions_; }
 
+  /// Push and pull steps of the most recent run()'s engine.
+  const BatchFoldCounts& fold_counts() const noexcept { return folds_; }
+
  private:
   struct Lane {
     int trial = -1;  ///< -1: empty
@@ -65,6 +68,7 @@ class BatchScheduler {
   std::uint32_t requested_lanes_;
   std::uint32_t max_rounds_;
   std::uint32_t compactions_ = 0;
+  BatchFoldCounts folds_;
   std::unique_ptr<BatchEngine> engine_;
   std::vector<Lane> lanes_;
   std::vector<std::uint32_t> active_;

@@ -12,6 +12,9 @@
 // entries with random writes; the kernel moves (|T| + c)·⌈n/64⌉ sequential
 // words. Both folds are exact, so the choice is purely a performance
 // decision and determinism is preserved regardless of which one runs.
+//
+// The batch engine's push/pull fold choice (batch_pull_fold_pays) is the
+// same kind of decision, one layer up, and lives beside it.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +43,21 @@ inline bool dense_round_pays(NodeId n, std::size_t num_tx,
   if (num_tx == 0 || Graph::bitmap_bytes(n) > kMemoryBudgetBytes) return false;
   const auto wpr = static_cast<EdgeCount>((static_cast<std::size_t>(n) + 63) / 64);
   return sum_deg > 2 * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
+}
+
+/// Batch-engine cost model (sim/batch/batch_engine.hpp): true when a round
+/// of single-word lane masks should fold listener by listener (pull) rather
+/// than transmitter by transmitter (push). `union_deg` is Σ deg over the
+/// union of the lanes' transmitter sets. Push pays a scattered
+/// read-modify-write of two planes plus touched-list upkeep per entry; pull
+/// reads each of the 2m adjacency entries once, in CSR order. Pull pays once
+/// union_deg ≥ m/4, an eighth of the edge ends: at n = 2^12 and 2^14,
+/// d = ln²n, 64 lanes, the per-step crossover measured between m/4 and m/2;
+/// of the thresholds m/4, m/2 and m, m/4 ran E7's batched mix (perfbench
+/// shared_batch) fastest, and bench_batch_sweep could not tell m/4 from m/2.
+inline bool batch_pull_fold_pays(EdgeCount num_edges,
+                                 EdgeCount union_deg) noexcept {
+  return union_deg > 0 && 4 * union_deg >= num_edges;
 }
 
 }  // namespace radio

@@ -22,12 +22,17 @@ std::uint64_t Xoshiro256StarStar::uniform_below(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::uint64_t Xoshiro256StarStar::geometric_skips(double p) noexcept {
+GeometricSkips::GeometricSkips(double p) noexcept {
   RADIO_EXPECTS(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
+  certain_ = p >= 1.0;
+  if (!certain_) log_q_ = std::log1p(-p);
+}
+
+std::uint64_t GeometricSkips::operator()(Rng& rng) const noexcept {
+  if (certain_) return 0;
   // Inverse CDF: floor(log(U) / log(1-p)) with U in (0, 1].
-  const double u = 1.0 - uniform();  // avoid log(0)
-  const double skips = std::floor(std::log(u) / std::log1p(-p));
+  const double u = 1.0 - rng.uniform();  // avoid log(0)
+  const double skips = std::floor(std::log(u) / log_q_);
   // A single skip never needs to exceed ~2^63 in any realistic sweep; clamp
   // defensively so the cast below is well defined.
   if (skips >= 9.0e18) return 9'000'000'000'000'000'000ULL;
@@ -45,11 +50,12 @@ std::uint64_t Xoshiro256StarStar::binomial(std::uint64_t n, double p) noexcept {
   if (mean < 32.0) {
     // Count successes by jumping between them geometrically: expected work
     // O(np), exact distribution.
+    const GeometricSkips skips(q);
     std::uint64_t count = 0;
-    std::uint64_t pos = geometric_skips(q);
+    std::uint64_t pos = skips(*this);
     while (pos < n) {
       ++count;
-      pos += 1 + geometric_skips(q);
+      pos += 1 + skips(*this);
     }
     draw = count;
   } else {

@@ -107,10 +107,6 @@ class Xoshiro256StarStar {
     return uniform() < p;
   }
 
-  /// Geometric: number of failures before the first success, success
-  /// probability p in (0, 1]. Used by the G(n,p) skip sampler.
-  std::uint64_t geometric_skips(double p) noexcept;
-
   /// Binomial(n, p) via inversion for small mean and a numerically stable
   /// normal-tail hybrid otherwise. Exact distribution is not required by any
   /// algorithm (only generators/tests), but determinism is.
@@ -133,6 +129,22 @@ class Xoshiro256StarStar {
 /// Library-wide generator alias; algorithms take `Rng&` so the engine can be
 /// swapped in one place.
 using Rng = Xoshiro256StarStar;
+
+/// Geometric draws: the number of failures before the first success, at
+/// success probability p in (0, 1]. The constant log1p(-p) is computed once
+/// per p, so the loops that draw many skips at one p (the G(n,p) skip
+/// samplers, binomial) pay one transcendental per draw, not two.
+class GeometricSkips {
+ public:
+  /// p in (0, 1].
+  explicit GeometricSkips(double p) noexcept;
+
+  std::uint64_t operator()(Rng& rng) const noexcept;
+
+ private:
+  double log_q_ = 0.0;   ///< log1p(-p)
+  bool certain_ = false; ///< p == 1: always 0 skips, no draw
+};
 
 /// Stable 64-bit tag for string-keyed table rows (protocol names, scenario
 /// labels). FNV-1a, fixed here forever: std::hash<std::string> is

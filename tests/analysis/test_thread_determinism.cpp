@@ -25,6 +25,7 @@ namespace {
 struct RunArtifacts {
   std::string csv;
   std::vector<std::string> metrics;  // wall_seconds scrubbed
+  std::string batch_folds;           // E7's batch-engine fold-count note
 };
 
 std::string scrub_wall_seconds(const std::string& line) {
@@ -48,6 +49,9 @@ RunArtifacts run_quick(const std::string& id, int threads, int batch) {
   artifacts.csv = record.result.table.to_csv();
   for (const std::string& line : metrics_lines(record))
     artifacts.metrics.push_back(scrub_wall_seconds(line));
+  for (const ExperimentNote& note : record.result.notes)
+    if (note.text.rfind("batch engine folds", 0) == 0)
+      artifacts.batch_folds = note.text;
   return artifacts;
 }
 
@@ -106,6 +110,17 @@ TEST_F(ThreadDeterminism, E7QuickIsByteIdenticalAcrossBatchAndThreadCounts) {
   EXPECT_EQ(batched.csv, batched_mt.csv)
       << "batched E7 CSV differs between OMP_NUM_THREADS=1 and 4";
   EXPECT_EQ(batched.metrics, batched_mt.metrics);
+
+  // The engine's push/pull fold counter is a deterministic counter too: the
+  // same at any thread count, and E7's searches run both folds.
+  ASSERT_FALSE(batched.batch_folds.empty()) << "E7 records no fold counts";
+  EXPECT_EQ(batched.batch_folds, batched_mt.batch_folds);
+  static const std::regex kCounts("([0-9]+) push, ([0-9]+) pull steps");
+  std::smatch counts;
+  ASSERT_TRUE(std::regex_search(batched.batch_folds, counts, kCounts))
+      << batched.batch_folds;
+  EXPECT_NE(counts[1].str(), "0") << batched.batch_folds;
+  EXPECT_NE(counts[2].str(), "0") << batched.batch_folds;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analysis/workload.hpp"
 #include "core/distributed.hpp"
@@ -139,6 +140,53 @@ TEST(Distributed, PaperTailExcludesLateInformed) {
     protocol.select_transmitters(D + 4, session, rng, tx);
     for (NodeId v : tx) EXPECT_LE(session.informed_round(v), D);
   }
+}
+
+/// Every round's transmitter list of `protocol` on a fresh session of g,
+/// for `rounds` rounds (or until complete); reset() is called first.
+std::vector<std::vector<NodeId>> transmitter_lists(
+    ElsasserGasieniecBroadcast& protocol, const BroadcastInstance& instance,
+    NodeId source, std::uint64_t seed, std::uint32_t rounds) {
+  protocol.reset(context_for(instance));
+  BroadcastSession session(instance.graph, source);
+  Rng rng(seed);
+  std::vector<std::vector<NodeId>> lists;
+  for (std::uint32_t round = 1; round <= rounds && !session.complete();
+       ++round) {
+    lists.emplace_back();
+    protocol.select_transmitters(round, session, rng, lists.back());
+    session.step(lists.back());
+  }
+  return lists;
+}
+
+TEST(Distributed, TailListResetsBetweenInstances) {
+  // The paper's tail draws over a list of rounds-0…D knowers built at the
+  // first tail call. One object run on two instances, with reset() between,
+  // must select exactly what fresh objects select, round by round — a list
+  // left over from the first instance would replay its knowers.
+  Rng rng(21);
+  const BroadcastInstance a =
+      make_broadcast_instance(GnpParams::with_degree(512, 12.0), rng);
+  const BroadcastInstance b =
+      make_broadcast_instance(GnpParams::with_degree(512, 12.0), rng);
+  const std::uint32_t rounds = 60;
+
+  ElsasserGasieniecBroadcast reused;
+  const auto reused_a = transmitter_lists(reused, a, 0, 5, rounds);
+  const auto reused_b = transmitter_lists(reused, b, 7, 6, rounds);
+  ElsasserGasieniecBroadcast fresh_a_protocol;
+  ElsasserGasieniecBroadcast fresh_b_protocol;
+  const auto fresh_a = transmitter_lists(fresh_a_protocol, a, 0, 5, rounds);
+  const auto fresh_b = transmitter_lists(fresh_b_protocol, b, 7, 6, rounds);
+
+  // Both runs reach the tail, so the list is built on each instance.
+  ASSERT_GT(fresh_a.size(), reused.phase_switch_round() + 1);
+  ASSERT_GT(fresh_b.size(), reused.phase_switch_round() + 1);
+  EXPECT_EQ(reused_a, fresh_a);
+  ASSERT_EQ(reused_b.size(), fresh_b.size());
+  for (std::size_t r = 0; r < fresh_b.size(); ++r)
+    EXPECT_EQ(reused_b[r], fresh_b[r]) << "round " << r + 1;
 }
 
 TEST(Distributed, DeterministicGivenSeed) {

@@ -164,5 +164,66 @@ TEST(BatchEquivalence, PathGraphSingletonWavefrontsMatch) {
     EXPECT_TRUE(engine.complete(lane));
 }
 
+TEST(BatchEquivalence, PushAndPullFoldsMatchSoloSessions) {
+  // One-transmitter rounds (a lone node: Σ deg far below m/4, push) alternate
+  // with flood rounds (every informed node of every lane, plus an
+  // uninformed jammer in every fourth lane: the union covers the graph,
+  // pull). Each lane must track its solo session under both folds.
+  Rng rng(4242);
+  const Graph g = generate_gnp({300, 0.05}, rng);
+  const std::uint32_t lanes = 64;
+  BatchEngine engine(g, lanes);
+  std::vector<std::unique_ptr<BroadcastSession>> ref;
+  std::vector<std::uint32_t> active;
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    const NodeId source = static_cast<NodeId>((lane * 37) % g.num_nodes());
+    engine.open_lane(lane, source);
+    ref.push_back(std::make_unique<BroadcastSession>(g, source));
+    active.push_back(lane);
+  }
+  const int rounds = 12;
+  std::vector<std::vector<NodeId>> tx(lanes);
+  for (int round = 1; round <= rounds; ++round) {
+    const bool flood = round % 2 == 0;
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      tx[lane].clear();
+      if (flood) {
+        const NodeId jammer =
+            static_cast<NodeId>((round * 53 + lane) % g.num_nodes());
+        for (NodeId v = 0; v < g.num_nodes(); ++v)
+          if (ref[lane]->informed(v) || (lane % 4 == 0 && v == jammer))
+            tx[lane].push_back(v);
+      } else if (lane == static_cast<std::uint32_t>(round) % lanes) {
+        tx[lane].push_back(static_cast<NodeId>((lane * 37) % g.num_nodes()));
+      }
+      engine.add_transmitters(lane, tx[lane]);
+    }
+    engine.step(active);
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      const RoundStats& stats = ref[lane]->step(tx[lane]);
+      const BatchEngine::LaneOutcome& outcome = engine.outcome(lane);
+      ASSERT_EQ(outcome.transmitters, stats.transmitters)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(outcome.newly_informed, stats.newly_informed)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(outcome.collisions, stats.collisions)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(outcome.redundant, stats.wasted)
+          << "lane " << lane << " round " << round;
+      const SessionView view = engine.view(lane);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ(engine.informed(lane, v), ref[lane]->informed(v))
+            << "lane " << lane << " node " << v << " round " << round;
+        ASSERT_EQ(view.informed_round(v), ref[lane]->informed_round(v))
+            << "lane " << lane << " node " << v << " round " << round;
+      }
+    }
+  }
+  const BatchFoldCounts& folds = engine.fold_counts();
+  EXPECT_GT(folds.push, 0u);
+  EXPECT_GT(folds.pull, 0u);
+  EXPECT_EQ(folds.push + folds.pull, static_cast<std::uint64_t>(rounds));
+}
+
 }  // namespace
 }  // namespace radio

@@ -179,16 +179,18 @@ TEST(Xoshiro, BernoulliMatchesProbability) {
 
 TEST(Xoshiro, GeometricSkipsWithPOneIsZero) {
   Rng rng(11);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric_skips(1.0), 0u);
+  const GeometricSkips skips(1.0);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(skips(rng), 0u);
+  EXPECT_EQ(rng(), Rng(11)()) << "p = 1 must consume no draw";
 }
 
 TEST(Xoshiro, GeometricSkipsMeanMatchesTheory) {
   Rng rng(12);
   for (double p : {0.5, 0.1, 0.01}) {
+    const GeometricSkips skips(p);
     double acc = 0.0;
     const int n = 50000;
-    for (int i = 0; i < n; ++i)
-      acc += static_cast<double>(rng.geometric_skips(p));
+    for (int i = 0; i < n; ++i) acc += static_cast<double>(skips(rng));
     const double expected = (1.0 - p) / p;
     EXPECT_NEAR(acc / n, expected, expected * 0.1 + 0.05);
   }
