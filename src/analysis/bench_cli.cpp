@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sim/batch/batch_engine.hpp"
 #include "util/parse.hpp"
 
 namespace radio {
@@ -84,10 +83,6 @@ BenchCommand parse_bench_command(const std::vector<std::string>& args) {
       command.full = true;
     } else if (arg == "--quick") {
       command.full = false;
-    } else if (matches_flag(arg, "--batch")) {
-      const std::string value = flag_value("--batch", arg, args, i);
-      command.batch = static_cast<int>(
-          parse_int(value, "--batch", 1, kMaxBatchLanes).value_or_throw());
     } else if (matches_flag(arg, "--rate")) {
       const std::string value = flag_value("--rate", arg, args, i);
       command.rate = parse_double(value, "--rate", 1e-9, 1e9).value_or_throw();
@@ -131,7 +126,6 @@ ExperimentConfig config_for_run(const BenchCommand& command,
   if (command.trials) config.trials = *command.trials;
   if (command.seed) config.seed = *command.seed;
   if (command.full) config.quick = !*command.full;
-  if (command.batch) config.batch = *command.batch;
   if (command.graph_backend) config.graph_backend = *command.graph_backend;
   if (command.rate) config.rate = *command.rate;
   if (command.horizon) config.horizon = *command.horizon;
@@ -156,11 +150,6 @@ std::string bench_usage() {
       "  --seed S       base RNG seed                      (RADIO_SEED, 42)\n"
       "  --full         large n grids                      (RADIO_FULL=1)\n"
       "  --quick        small n grids (default)\n"
-      "  --batch B      sim/batch lane width, 1–" +
-      std::to_string(kMaxBatchLanes) +
-      "       (RADIO_BATCH, 1)\n"
-      "                 shared-instance probes advance B instances per\n"
-      "                 sweep; results are byte-identical for any B\n"
       "  --graph-backend auto|csr|bitmap|implicit\n"
       "                 instance representation      (RADIO_GRAPH_BACKEND,\n"
       "                 auto). auto picks per instance via the cost model;\n"

@@ -31,7 +31,6 @@ struct BenchCommand {
   std::optional<int> trials;
   std::optional<std::uint64_t> seed;
   std::optional<bool> full;   ///< --full → true, --quick → false
-  std::optional<int> batch;   ///< --batch: sim/batch lane width (1–4096)
   /// --graph-backend: auto | csr | bitmap | implicit (graph/backend.hpp)
   std::optional<GraphBackendChoice> graph_backend;
   /// --rate: Poisson arrival rate λ for the streaming experiments E16–E18

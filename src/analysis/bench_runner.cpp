@@ -59,7 +59,6 @@ Json config_json(const ExperimentConfig& config) {
   obj.set("trials", config.trials);
   obj.set("seed", config.seed);
   obj.set("quick", config.quick);
-  obj.set("batch", config.batch);
   obj.set("graph_backend", std::string(to_string(config.graph_backend)));
   obj.set("rate", config.rate);
   obj.set("horizon", config.horizon);

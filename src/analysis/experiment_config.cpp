@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/batch/batch_engine.hpp"
 #include "util/parse.hpp"
 
 namespace radio {
@@ -26,9 +25,6 @@ ExperimentConfig ExperimentConfig::from_environment(
     config.quick =
         *full == '\0' || !parse_bool(full, "RADIO_FULL").value_or_throw();
   }
-  if (const char* batch = std::getenv("RADIO_BATCH"))
-    config.batch = static_cast<int>(
-        parse_int(batch, "RADIO_BATCH", 1, kMaxBatchLanes).value_or_throw());
   if (const char* backend = std::getenv("RADIO_GRAPH_BACKEND")) {
     const auto choice = graph_backend_from_name(backend);
     if (!choice)

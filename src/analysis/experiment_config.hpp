@@ -18,12 +18,6 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;    ///< base seed; trial i uses stream (seed, i)
   bool quick = true;          ///< quick: smaller n grid for CI-speed runs
   std::string csv_path;       ///< when non-empty, the table is mirrored here
-  /// Lane width for the batched simulation core (sim/batch): experiments
-  /// whose inner probes share a graph instance (e.g. E7's schedule searches)
-  /// advance this many instances per kernel sweep. 1 = classic per-instance
-  /// engine. Results are byte-identical for any value — batch changes wall
-  /// time, never data (the sim/batch determinism contract).
-  int batch = 1;
   /// Graph backend for instance generation (graph/backend.hpp). kAuto lets
   /// the cost model pick per instance (bitmap generation for dense rows, CSR
   /// otherwise); kCsr/kBitmap force a materialized representation. kImplicit
@@ -40,8 +34,8 @@ struct ExperimentConfig {
   int horizon = 0;
 
   /// Reads RADIO_TRIALS / RADIO_SEED / RADIO_FULL / RADIO_CSV_DIR /
-  /// RADIO_BATCH / RADIO_GRAPH_BACKEND / RADIO_RATE / RADIO_HORIZON from the
-  /// environment so bench binaries can be scaled up without rebuilds.
+  /// RADIO_GRAPH_BACKEND / RADIO_RATE / RADIO_HORIZON from the environment
+  /// so bench binaries can be scaled up without rebuilds.
   /// `radio_bench` layers its CLI flags on top of this (bench_cli.hpp).
   /// Malformed values throw std::runtime_error naming the variable and the
   /// offending text (util/parse.hpp) — callers print the diagnostic and exit

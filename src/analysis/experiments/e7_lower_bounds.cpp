@@ -99,10 +99,6 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
   result.note("instances per row: " + std::to_string(config.trials) +
               " (honors --trials; earlier revisions clamped to trials/4)");
 
-  const auto lanes = static_cast<std::uint32_t>(
-      config.batch > 1 ? config.batch : 32);  // perf default; results are
-                                              // byte-identical for any width
-
   // Recorded provenance of the hardest certified Thm-8 instance, for the
   // stress rows: regenerating Rng::for_stream(row_seed, trial) replays the
   // exact graph + source the certificate was earned on.
@@ -130,7 +126,6 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       search.generations = config.quick ? 12 : 32;
       search.population = config.quick ? 6 : 10;
       search.trials_per_candidate = 2;
-      search.batch_lanes = lanes;
 
       const std::uint64_t row_seed =
           derive_row_seed(config.seed, stream_tags::kE7LowerBounds, stream_tags::kRowThm8, n);
@@ -210,7 +205,6 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       tight.round_budget = static_cast<std::uint32_t>(ln_n);
       tight.generations = config.quick ? 10 : 24;
       tight.population = config.quick ? 8 : 16;
-      tight.batch_lanes = lanes;
       // Generous budget to locate the true completion scale (Theta(ln n)).
       GuidedSearchParams loose = tight;
       loose.round_budget = static_cast<std::uint32_t>(10.0 * ln_n);

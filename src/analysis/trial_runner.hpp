@@ -21,7 +21,6 @@
 // real races in trial bodies still surface.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -29,7 +28,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/batch/batch_runner.hpp"
 #include "util/rng.hpp"
 
 #if defined(RADIO_HAVE_OPENMP)
@@ -121,62 +119,6 @@ std::vector<T> run_trials(int trials, std::uint64_t seed, Fn&& fn) {
 template <class Fn>
 std::vector<double> run_trials_double(int trials, std::uint64_t seed, Fn&& fn) {
   return run_trials<double>(trials, seed, static_cast<Fn&&>(fn));
-}
-
-/// Batched execution path for broadcast trials that share ONE graph
-/// instance: the cost model (batch_lanes_for, sim/batch/batch_runner.hpp)
-/// picks the lane count; shared-instance workloads sweep `batch` lanes per
-/// kernel pass, while sparse/oversized/degenerate cases fall back to the
-/// per-instance BroadcastSession path below. Trials are chunked two batches per
-/// OpenMP task; trial t always draws from Rng::for_stream(seed, t), so
-/// results are byte-identical for ANY batch width and thread count — `batch`
-/// changes wall time, never data.
-///
-/// Workloads that sample a fresh graph per trial cannot use this entry (no
-/// shared adjacency to slice); they stay on run_trials above. Top-level
-/// only: this wraps run_trials, which is not reentrant — code already
-/// running inside a trial body calls run_broadcast_batch directly (serial),
-/// as core/lower_bound.cpp does.
-///
-/// `dispatch`, when non-null, receives the cost model's decision
-/// (plan_broadcast_batch): which path ran and — for the per-instance
-/// fallbacks the dispatcher used to take silently, e.g. observation-feedback
-/// protocols — why. Callers accounting batch speedups should check it
-/// instead of assuming `batch` lanes actually ran.
-inline std::vector<BroadcastRun> run_batched_trials(
-    const Graph& g, const ProtocolContext& ctx, NodeId source, int trials,
-    std::uint64_t seed, const ProtocolFactory& factory,
-    std::uint32_t max_rounds, std::uint32_t batch,
-    BatchDispatch* dispatch = nullptr) {
-  const BatchDispatch plan = plan_broadcast_batch(g, trials, factory, batch);
-  if (dispatch) *dispatch = plan;
-  if (plan.path == BatchDispatch::Path::kPerInstance) {
-    return run_trials<BroadcastRun>(trials, seed, [&](int i, Rng& rng) {
-      const std::unique_ptr<Protocol> protocol = factory(i);
-      return broadcast_with(*protocol, ctx, g, source, rng, max_rounds);
-    });
-  }
-  const std::uint32_t lanes = plan.lanes;
-  const int chunk = static_cast<int>(lanes) * 2;
-  const int chunks = (trials + chunk - 1) / chunk;
-  std::vector<std::vector<BroadcastRun>> per_chunk =
-      run_trials<std::vector<BroadcastRun>>(
-          chunks, seed, [&](int c, Rng& /*unused: per-trial streams are
-                                           derived inside the scheduler*/) {
-            const int first = c * chunk;
-            const int count = std::min(chunk, trials - first);
-            const ProtocolFactory shifted = [&factory, first](int t) {
-              return factory(first + t);
-            };
-            return run_broadcast_batch(
-                g, ctx, source, count, seed,
-                static_cast<std::uint64_t>(first), shifted, max_rounds, lanes);
-          });
-  std::vector<BroadcastRun> results;
-  results.reserve(static_cast<std::size_t>(trials));
-  for (std::vector<BroadcastRun>& part : per_chunk)
-    results.insert(results.end(), part.begin(), part.end());
-  return results;
 }
 
 }  // namespace radio

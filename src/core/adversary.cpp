@@ -69,7 +69,9 @@ struct Evaluated {
 /// Determinism: `rng` is consumed ONLY on the main thread (probe seed,
 /// seeding, mutation). Probe u of the whole search draws from
 /// Rng::for_stream(probe_seed, u) via run_broadcast_batch, so the entire
-/// trajectory is byte-identical for any batch_lanes / thread count.
+/// trajectory is byte-identical for any lane width / thread count. Each
+/// generation runs one lane per probe (run_broadcast_batch's memory clamp
+/// still applies).
 template <typename Policy>
 GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
                                   const ProtocolContext& ctx,
@@ -99,9 +101,9 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
       return policy.make_protocol(
           candidates[static_cast<std::size_t>(unit / tpc)]);
     };
-    const std::vector<BroadcastRun> runs =
-        run_broadcast_batch(g, ctx, source, units, probe_seed, first, factory,
-                            params.round_budget, params.batch_lanes, &folds);
+    const std::vector<BroadcastRun> runs = run_broadcast_batch(
+        g, ctx, source, units, probe_seed, first, factory, params.round_budget,
+        static_cast<std::uint32_t>(units), &folds);
     std::vector<Evaluated> evals(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       Evaluated& e = evals[c];

@@ -3,17 +3,16 @@
 // reduces radio lower bounds to games where an explicit adversary is
 // *searched for*, not sampled).
 //
-// The blind probes in core/lower_bound.hpp estimate the oblivious optimum by
-// drawing K random schedules and reporting the best — a noisy order
-// statistic that made E7's Thm-8 fit the weakest in the suite. This engine
+// Blind best-of-K sampling (search_oblivious_schedules, core/lower_bound.hpp)
+// estimates the oblivious optimum by a noisy order statistic. This engine
 // replaces the estimate with a (1+λ) local search: keep one incumbent
 // schedule, spawn λ mutants per generation, evaluate every mutant's trials
 // as LANES of a single run_broadcast_batch call on the shared graph
-// (population-as-lanes), and adopt a mutant only when its *worst* trial
-// strictly improves on the incumbent's. Probe u always draws from
-// Rng::for_stream(probe_seed, u), so the search trajectory — and every
-// number derived from it — is byte-identical for any --batch width and any
-// thread count (the sim/batch determinism contract).
+// (population-as-lanes: one lane per probe, clamped by memory), and adopt a
+// mutant only when its *worst* trial strictly improves on the incumbent's.
+// Probe u always draws from Rng::for_stream(probe_seed, u), so the search
+// trajectory — and every number derived from it — is byte-identical for any
+// lane width and any thread count (the sim/batch determinism contract).
 //
 // Each search emits a per-instance CERTIFICATE: the best schedule found, the
 // witness node that pinned its completion time (or stayed uninformed for the
@@ -89,10 +88,6 @@ struct GuidedSearchParams {
   double mutation_rate = 0.25;   ///< per-round chance a gene mutates
   double mutation_scale = 1.5;   ///< log-probability step (oblivious genes)
   NodeId max_set_size = 2;       ///< small-set genes: 1- or 2-sets
-  /// Lane width for the batched core: a generation's λ×trials probes run as
-  /// lanes of ONE run_broadcast_batch call on the shared graph. Results are
-  /// byte-identical for any value (see sim/batch/batch_scheduler.hpp).
-  std::uint32_t batch_lanes = 1;
 };
 
 /// The per-instance certificate a guided search leaves behind.

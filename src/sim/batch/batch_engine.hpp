@@ -60,8 +60,8 @@
 namespace radio {
 
 /// Lanes per engine are bounded so lane masks stay a handful of words; the
-/// scheduler's memory gate (batch_lanes_for) clamps far earlier in practice.
-/// Every lane-width input (--batch, RADIO_BATCH) is parsed against it.
+/// scheduler's memory gate (batch_lanes_for) clamps far earlier in practice,
+/// and requested widths above it are clamped to it.
 inline constexpr std::uint32_t kMaxBatchLanes = 4096;
 
 /// Which fold each step() ran, tallied over an engine's lifetime. A

@@ -41,12 +41,10 @@ std::size_t batch_state_bytes(const Graph& g, std::uint32_t lanes) noexcept;
 /// does not apply — requested < 2 or the graph is empty).
 std::uint32_t batch_lanes_for(const Graph& g, std::uint32_t requested) noexcept;
 
-/// Which execution path the dispatcher chose, and why. Previously the
-/// observation-feedback fallback was silent: a caller asking for --batch 64
-/// with a wants_observations protocol got per-instance execution with no
-/// record, so speedup accounting quietly lied. The plan makes every
-/// fallback reportable (and testable — tests/analysis/
-/// test_batch_dispatch.cpp pins each reason).
+/// Which execution path the dispatcher chose, and why: a caller asking for
+/// 64 lanes with a wants_observations protocol gets per-instance execution,
+/// and the plan says so. Every fallback is reportable (and testable —
+/// tests/analysis/test_batch_dispatch.cpp pins each reason).
 struct BatchDispatch {
   enum class Path { kBatched, kPerInstance };
 
@@ -55,7 +53,7 @@ struct BatchDispatch {
   const char* reason = "";    ///< why per-instance; "" when batched
 };
 
-/// Pure cost-model decision for run_broadcast_batch/run_batched_trials:
+/// Pure cost-model decision for run_broadcast_batch:
 /// clamps `requested_lanes` via batch_lanes_for and reports per-instance
 /// for degenerate trial counts or observation-feedback protocols (probes
 /// factory(0) once; `factory` must be pure).
@@ -66,9 +64,9 @@ BatchDispatch plan_broadcast_batch(const Graph& g, int trials,
 /// Runs `trials` broadcasts of factory(t) on the SHARED graph g from
 /// `source`, trial t drawing from Rng::for_stream(seed, first_stream + t),
 /// batched `lanes` wide when the cost model approves and per-instance
-/// otherwise. Serial (no OpenMP): callers already inside a parallel trial
-/// region use this directly; top-level callers use run_batched_trials
-/// (analysis/trial_runner.hpp) which chunks across threads.
+/// otherwise. Serial (no OpenMP): callers run it inside their own parallel
+/// trial regions (E7's guided searches run one call per generation, one lane
+/// per probe).
 ///
 /// `factory` must be pure (no side effects): the dispatcher probes
 /// factory(0) once to detect observation-feedback protocols.

@@ -27,9 +27,8 @@
 // arrivals, one for protocol coin flips, with disjoint tag bits so neither
 // stream can collide with a plain trial stream. A StreamSession is a pure
 // function of (graph, context, protocol, config): results are byte-identical
-// across thread counts and --batch widths (which parallelize across
-// sessions, never inside one); pinned by tests/analysis/
-// test_stream_determinism.cpp.
+// across thread counts (which parallelize across sessions, never inside
+// one); pinned by tests/analysis/test_stream_determinism.cpp.
 #pragma once
 
 #include <algorithm>

@@ -3,7 +3,7 @@
 // with compile-checked pairwise uniqueness.
 //
 // Why a registry: the determinism story (byte-identical trials at any thread
-// count and --batch width) rests on (seed, stream) and (seed, experiment,
+// count and batch lane width) rests on (seed, stream) and (seed, experiment,
 // row) pairs never colliding. PR 9 paid for one silent collision — E1's old
 // `n*131 + d` row coordinates gave grid cells (1024, 136) and (1025, 5) the
 // same seed, so two supposedly independent rows reran identical trials.

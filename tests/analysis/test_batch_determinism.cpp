@@ -1,16 +1,22 @@
 // The sim/batch determinism contract, scheduler half: trial t of a batched
 // run is byte-identical to broadcast_with(factory(t), …,
-// Rng::for_stream(seed, first_stream + t), …) for ANY lane count, any
-// chunking, and any OpenMP thread count — lane packing and compaction change
-// wall time, never data. This is the dynamic pin of the per-trial seed
-// derivation documented in util/rng.hpp (lane independence).
+// Rng::for_stream(seed, first_stream + t), …) for ANY lane count — lane
+// packing and compaction change wall time, never data. This is the dynamic
+// pin of the per-trial seed derivation documented in util/rng.hpp (lane
+// independence), and the per-instance reference for every lane width the
+// batch callers pick for themselves (E7's guided searches run one lane per
+// probe of a generation).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "analysis/trial_runner.hpp"
+#include "core/adversary.hpp"
+#include "core/lower_bound.hpp"
+#include "graph/bfs.hpp"
 #include "graph/random_graph.hpp"
 #include "protocols/decay.hpp"
 #include "sim/batch/batch_runner.hpp"
@@ -48,6 +54,40 @@ ProtocolFactory decay_factory() {
   return [](int) { return std::make_unique<DecayProtocol>(); };
 }
 
+/// The guided adversaries' genotypes as batch inputs: per-trial oblivious
+/// sequences (random draws per informed node) and fixed small-set schedules
+/// (no randomness, centralized), each trial playing its own candidate.
+ProtocolFactory oblivious_factory(NodeId n) {
+  return [n](int t) {
+    std::vector<double> probs;
+    for (int r = 0; r < 24; ++r)
+      probs.push_back(1.0 / static_cast<double>(1 + (r * 7 + t * 3) % 11));
+    probs.push_back(1.0 / static_cast<double>(n));
+    return std::make_unique<ObliviousSequenceProtocol>(std::move(probs));
+  };
+}
+
+ProtocolFactory small_set_factory(const Graph& g, NodeId source) {
+  // Singletons in BFS order inform every node collision-free; odd trials
+  // pair each with a second informed-or-not node, so collisions and silent
+  // uninformed members show up too.
+  std::vector<NodeId> order;
+  for (const std::vector<NodeId>& layer : bfs_layers(g, source).layers)
+    order.insert(order.end(), layer.begin(), layer.end());
+  return [order](int t) {
+    const auto m = static_cast<NodeId>(order.size());
+    auto schedule = std::make_shared<SmallSetSchedule>();
+    for (NodeId r = 0; r < m; ++r) {
+      SmallRoundSet set;
+      set.node[0] = order[r];
+      set.node[1] = order[(r + 1 + static_cast<NodeId>(t)) % m];
+      set.size = (t % 2 == 1 && set.node[1] != set.node[0]) ? 2 : 1;
+      schedule->push_back(set);
+    }
+    return std::make_unique<FixedSmallSetScheduleProtocol>(std::move(schedule));
+  };
+}
+
 TEST(BatchDeterminism, SchedulerMatchesPerInstanceForAnyLaneCount) {
   Rng graph_rng(2024);
   const NodeId n = 300;
@@ -58,19 +98,28 @@ TEST(BatchDeterminism, SchedulerMatchesPerInstanceForAnyLaneCount) {
   const std::uint32_t max_rounds = 400;
   const std::uint64_t seed = 99;
 
-  const std::vector<BroadcastRun> expected =
-      reference_runs(g, ctx, 0, trials, seed, 0, decay_factory(), max_rounds);
-  ASSERT_EQ(expected.size(), static_cast<std::size_t>(trials));
+  const struct {
+    const char* name;
+    ProtocolFactory factory;
+  } inputs[] = {{"decay", decay_factory()},
+                {"oblivious-sequence", oblivious_factory(n)},
+                {"fixed-small-set", small_set_factory(g, 0)}};
+  for (const auto& input : inputs) {
+    const std::vector<BroadcastRun> expected = reference_runs(
+        g, ctx, 0, trials, seed, 0, input.factory, max_rounds);
+    ASSERT_EQ(expected.size(), static_cast<std::size_t>(trials));
 
-  for (std::uint32_t lanes : {1u, 3u, 8u, 64u}) {
-    BatchScheduler scheduler(g, ctx, lanes, max_rounds);
-    const std::vector<BroadcastRun> got =
-        scheduler.run(seed, 0, trials, 0, decay_factory());
-    ASSERT_EQ(got.size(), expected.size()) << "lanes=" << lanes;
-    for (int t = 0; t < trials; ++t)
-      EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],
-                           expected[static_cast<std::size_t>(t)]))
-          << "lanes=" << lanes << " trial=" << t;
+    for (std::uint32_t lanes : {1u, 3u, 8u, 64u}) {
+      BatchScheduler scheduler(g, ctx, lanes, max_rounds);
+      const std::vector<BroadcastRun> got =
+          scheduler.run(seed, 0, trials, 0, input.factory);
+      ASSERT_EQ(got.size(), expected.size())
+          << input.name << " lanes=" << lanes;
+      for (int t = 0; t < trials; ++t)
+        EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],
+                             expected[static_cast<std::size_t>(t)]))
+            << input.name << " lanes=" << lanes << " trial=" << t;
+    }
   }
 }
 
@@ -117,29 +166,6 @@ TEST(BatchDeterminism, SchedulerCompactsTailWithoutChangingResults) {
     EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],
                          expected[static_cast<std::size_t>(t)]))
         << "trial " << t;
-}
-
-TEST(BatchDeterminism, RunBatchedTrialsIsByteIdenticalAcrossBatchWidths) {
-  Rng graph_rng(8);
-  const NodeId n = 200;
-  const double p = 0.05;
-  const Graph g = generate_gnp({n, p}, graph_rng);
-  const ProtocolContext ctx{n, p};
-  const int trials = 37;  // deliberately not a multiple of any chunk size
-  const std::uint32_t max_rounds = 300;
-  const std::uint64_t seed = 123;
-
-  const std::vector<BroadcastRun> expected =
-      reference_runs(g, ctx, 1, trials, seed, 0, decay_factory(), max_rounds);
-  for (std::uint32_t batch : {1u, 8u, 64u}) {
-    const std::vector<BroadcastRun> got = run_batched_trials(
-        g, ctx, 1, trials, seed, decay_factory(), max_rounds, batch);
-    ASSERT_EQ(got.size(), expected.size()) << "batch=" << batch;
-    for (int t = 0; t < trials; ++t)
-      EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],
-                           expected[static_cast<std::size_t>(t)]))
-          << "batch=" << batch << " trial=" << t;
-  }
 }
 
 /// A protocol that opts into channel observations: the dispatch layer must

@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/bench_cli.hpp"
 
@@ -16,7 +18,6 @@ void clear_radio_env() {
   ::unsetenv("RADIO_SEED");
   ::unsetenv("RADIO_FULL");
   ::unsetenv("RADIO_CSV_DIR");
-  ::unsetenv("RADIO_BATCH");
   ::unsetenv("RADIO_GRAPH_BACKEND");
   ::unsetenv("RADIO_RATE");
   ::unsetenv("RADIO_HORIZON");
@@ -198,45 +199,22 @@ TEST_F(BenchCliTest, CsvDirBeatsOutDirForCsvPlacement) {
   EXPECT_EQ(config.csv_path, "/tmp/csvdir/e2.csv");
 }
 
-TEST_F(BenchCliTest, BatchFlagLayersLikeEveryOtherNumericFlag) {
-  // Defaults < RADIO_BATCH < --batch, same layering as --trials/--seed.
-  const BenchCommand bare = parse_bench_command({"run", "E7"});
-  EXPECT_EQ(config_for_run(bare, "E7").batch, 1);
-
-  ::setenv("RADIO_BATCH", "16", 1);
-  EXPECT_EQ(config_for_run(bare, "E7").batch, 16);
-
-  const BenchCommand flagged =
-      parse_bench_command({"run", "E7", "--batch", "64"});
-  EXPECT_EQ(config_for_run(flagged, "E7").batch, 64);
-  ::unsetenv("RADIO_BATCH");
-
-  EXPECT_EQ(*parse_bench_command({"run", "E7", "--batch=8"}).batch, 8);
-}
-
-TEST_F(BenchCliTest, RejectsMalformedBatchValues) {
-  // Lane widths parse strictly through util/parse: junk, zero, and
-  // out-of-range values are diagnostics naming the flag, never a clamp.
-  for (const char* bad : {"banana", "0", "-8", "4097", "8x", ""}) {
+TEST_F(BenchCliTest, RejectsBatchAsUnknownFlag) {
+  // The lane width is not a setting: experiments size their batches from
+  // the work they batch, so there is no lane-width flag to parse.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"run", "E7", "--batch", "8"},
+        std::vector<std::string>{"run", "E7", "--batch=8"}}) {
     try {
-      parse_bench_command({"run", "E7", std::string("--batch=") + bad});
-      FAIL() << "--batch=" << bad << " should be rejected";
+      parse_bench_command(args);
+      FAIL() << "--batch should be rejected";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("--batch"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("unknown flag '--batch"),
+                std::string::npos)
+          << e.what();
     }
   }
-  const BenchCommand command = parse_bench_command({"run", "E7"});
-  ::setenv("RADIO_BATCH", "lots", 1);
-  try {
-    config_for_run(command, "E7");
-    FAIL() << "RADIO_BATCH=lots should be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("RADIO_BATCH"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("'lots'"), std::string::npos);
-  }
-  ::setenv("RADIO_BATCH", "0", 1);
-  EXPECT_THROW(config_for_run(command, "E7"), std::runtime_error);
-  ::unsetenv("RADIO_BATCH");
+  EXPECT_EQ(bench_usage().find("--batch"), std::string::npos);
 }
 
 TEST_F(BenchCliTest, StreamingFlagsLayerLikeEveryOtherNumericFlag) {

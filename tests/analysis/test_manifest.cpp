@@ -27,7 +27,6 @@ RunRecord sample_record() {
   record.config.trials = 3;
   record.config.seed = 12345678901234567890ull;
   record.config.quick = false;
-  record.config.batch = 64;
   record.config.rate = 0.05;
   record.config.horizon = 2500;
   record.config.csv_path = "/tmp/ex.csv";
@@ -68,7 +67,7 @@ TEST(Manifest, RoundTripsThroughJson) {
   EXPECT_EQ(config.at("trials").as_int64(), 3);
   EXPECT_EQ(config.at("seed").as_uint64(), 12345678901234567890ull);
   EXPECT_FALSE(config.at("quick").as_bool());
-  EXPECT_EQ(config.at("batch").as_int64(), 64);
+  EXPECT_FALSE(config.contains("batch"));  // lane widths are not config
   EXPECT_DOUBLE_EQ(config.at("rate").as_double(), 0.05);
   EXPECT_EQ(config.at("horizon").as_int64(), 2500);
   EXPECT_EQ(config.at("csv_path").as_string(), "/tmp/ex.csv");

@@ -1,13 +1,13 @@
 // Streaming determinism regression (DESIGN.md §9's contract): the E16 quick
 // experiment must produce byte-identical CSV and metrics.jsonl at
-// OMP_NUM_THREADS=1 and 4, and across --batch widths, for the same seed
-// (modulo wall_seconds, which is timing, not data).
+// OMP_NUM_THREADS=1 and 4 for the same seed (modulo wall_seconds, which is
+// timing, not data).
 //
 // The contract holds for a sharper reason than the per-trial experiments':
 // a stream session interleaves TWO tagged Rng streams (arrivals and
 // protocol coin flips) over thousands of rounds, and consumes neither the
-// batch core nor any cross-trial state — so batching and threading must be
-// invisible by construction, and this test pins that they stay so.
+// batch core nor any cross-trial state — so threading must be invisible by
+// construction, and this test pins that it stays so.
 #include <gtest/gtest.h>
 
 #include <regex>
@@ -35,7 +35,7 @@ std::string scrub_wall_seconds(const std::string& line) {
   return std::regex_replace(line, kWall, "\"wall_seconds\":0");
 }
 
-RunArtifacts run_e16_quick(int threads, int batch) {
+RunArtifacts run_e16_quick(int threads) {
 #if defined(RADIO_HAVE_OPENMP)
   omp_set_num_threads(threads);
 #else
@@ -45,7 +45,6 @@ RunArtifacts run_e16_quick(int threads, int batch) {
   config.trials = 2;
   config.seed = 20250808;
   config.quick = true;
-  config.batch = batch;
   const RunRecord record = run_registered_experiment("E16", config);
   RunArtifacts artifacts;
   artifacts.csv = record.result.table.to_csv();
@@ -70,8 +69,8 @@ class StreamDeterminism : public ::testing::Test {
 };
 
 TEST_F(StreamDeterminism, E16QuickIsByteIdenticalAcrossThreadCounts) {
-  const RunArtifacts serial = run_e16_quick(1, 1);
-  const RunArtifacts parallel = run_e16_quick(4, 1);
+  const RunArtifacts serial = run_e16_quick(1);
+  const RunArtifacts parallel = run_e16_quick(4);
 
   EXPECT_EQ(serial.csv, parallel.csv)
       << "E16 CSV differs between OMP_NUM_THREADS=1 and 4 — a stream trial "
@@ -81,20 +80,9 @@ TEST_F(StreamDeterminism, E16QuickIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.metrics[i], parallel.metrics[i]) << "metrics line " << i;
 }
 
-TEST_F(StreamDeterminism, E16QuickIsByteIdenticalAcrossBatchWidths) {
-  // Streaming never routes through the batch core; --batch must be inert,
-  // not merely deterministic.
-  const RunArtifacts unbatched = run_e16_quick(4, 1);
-  const RunArtifacts batched = run_e16_quick(4, 8);
-  EXPECT_EQ(unbatched.csv, batched.csv)
-      << "E16 CSV differs between --batch 1 and --batch 8 — the streaming "
-         "path must not consult the batch width";
-  EXPECT_EQ(unbatched.metrics, batched.metrics);
-}
-
 TEST_F(StreamDeterminism, RepeatedRunsAreIdentical) {
-  const RunArtifacts a = run_e16_quick(4, 1);
-  const RunArtifacts b = run_e16_quick(4, 1);
+  const RunArtifacts a = run_e16_quick(4);
+  const RunArtifacts b = run_e16_quick(4);
   EXPECT_EQ(a.csv, b.csv);
   EXPECT_EQ(a.metrics, b.metrics);
 }

@@ -1,15 +1,19 @@
-// Guided adversarial search engine: fixed small-set schedules, the (1+λ)
-// loop's determinism across lane widths, certificate semantics, and the
-// guided-beats-blind contract at equal probe budgets.
+// Guided adversarial search engine: fixed small-set schedules, the search's
+// determinism and its certified schedule's lane-width independence,
+// certificate semantics, and the guided-beats-blind contract at equal probe
+// budgets. (Batched probes against per-instance probes: BatchDeterminism.)
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "analysis/workload.hpp"
 #include "core/adversary.hpp"
 #include "core/lower_bound.hpp"
+#include "sim/batch/batch_runner.hpp"
 #include "sim/runner.hpp"
 
 namespace radio {
@@ -107,13 +111,10 @@ class GuidedSearchFixture : public ::testing::Test {
     params_.trials_per_candidate = 2;
   }
 
-  GuidedSearchOutcome run_oblivious(std::uint32_t lanes,
-                                    std::uint64_t seed = 1234) {
-    GuidedSearchParams params = params_;
-    params.batch_lanes = lanes;
-    Rng rng(seed);
+  GuidedSearchOutcome run_oblivious() {
+    Rng rng(1234);
     return guided_oblivious_search(instance_.graph, source_,
-                                   context_for(instance_), params, rng);
+                                   context_for(instance_), params_, rng);
   }
 
   BroadcastInstance instance_;
@@ -122,24 +123,60 @@ class GuidedSearchFixture : public ::testing::Test {
 };
 
 TEST_F(GuidedSearchFixture, ByteIdenticalAcrossLaneWidths) {
-  const GuidedSearchOutcome lanes1 = run_oblivious(1);
-  const GuidedSearchOutcome lanes5 = run_oblivious(5);
-  const GuidedSearchOutcome lanes64 = run_oblivious(64);
-  for (const GuidedSearchOutcome* other : {&lanes5, &lanes64}) {
-    EXPECT_EQ(lanes1.best_rounds, other->best_rounds);
-    EXPECT_EQ(lanes1.completed_fraction, other->completed_fraction);
-    EXPECT_EQ(lanes1.certificate.witness, other->certificate.witness);
-    EXPECT_EQ(lanes1.certificate.rounds_survived,
-              other->certificate.rounds_survived);
-    EXPECT_EQ(lanes1.certificate.improvements,
-              other->certificate.improvements);
-    EXPECT_EQ(lanes1.certificate.oblivious_probs,
-              other->certificate.oblivious_probs);
+  // The search picks its own lane width (a generation's probes), so its
+  // outcome is a function of the seed alone ...
+  const GuidedSearchOutcome first = run_oblivious();
+  const GuidedSearchOutcome again = run_oblivious();
+  EXPECT_EQ(first.best_rounds, again.best_rounds);
+  EXPECT_EQ(first.completed_fraction, again.completed_fraction);
+  EXPECT_EQ(first.certificate.witness, again.certificate.witness);
+  EXPECT_EQ(first.certificate.rounds_survived,
+            again.certificate.rounds_survived);
+  EXPECT_EQ(first.certificate.improvements, again.certificate.improvements);
+  EXPECT_EQ(first.certificate.oblivious_probs,
+            again.certificate.oblivious_probs);
+
+  // ... and the schedule it certifies plays the same runs one lane wide
+  // (per-instance) as packed 5 or 64 lanes wide.
+  const std::vector<double> probs = first.certificate.oblivious_probs;
+  ASSERT_FALSE(probs.empty());
+  const ProtocolFactory factory = [probs](int) {
+    return std::make_unique<ObliviousSequenceProtocol>(probs);
+  };
+  const int trials = 13;  // not a multiple of either packed width
+  const std::uint64_t seed = 1234;
+  const std::vector<BroadcastRun> lanes1 = run_broadcast_batch(
+      instance_.graph, context_for(instance_), source_, trials, seed, 0,
+      factory, params_.round_budget, 1);
+  ASSERT_EQ(lanes1.size(), static_cast<std::size_t>(trials));
+  EXPECT_EQ(plan_broadcast_batch(instance_.graph, trials, factory, 1).path,
+            BatchDispatch::Path::kPerInstance);
+  for (std::uint32_t lanes : {5u, 64u}) {
+    EXPECT_EQ(
+        plan_broadcast_batch(instance_.graph, trials, factory, lanes).path,
+        BatchDispatch::Path::kBatched)
+        << "lanes=" << lanes;
+    const std::vector<BroadcastRun> packed = run_broadcast_batch(
+        instance_.graph, context_for(instance_), source_, trials, seed, 0,
+        factory, params_.round_budget, lanes);
+    ASSERT_EQ(packed.size(), lanes1.size()) << "lanes=" << lanes;
+    for (std::size_t t = 0; t < lanes1.size(); ++t) {
+      EXPECT_EQ(packed[t].completed, lanes1[t].completed)
+          << "lanes=" << lanes << " trial=" << t;
+      EXPECT_EQ(packed[t].rounds, lanes1[t].rounds)
+          << "lanes=" << lanes << " trial=" << t;
+      EXPECT_EQ(packed[t].collisions, lanes1[t].collisions)
+          << "lanes=" << lanes << " trial=" << t;
+      EXPECT_EQ(packed[t].transmissions, lanes1[t].transmissions)
+          << "lanes=" << lanes << " trial=" << t;
+      EXPECT_EQ(packed[t].informed, lanes1[t].informed)
+          << "lanes=" << lanes << " trial=" << t;
+    }
   }
 }
 
 TEST_F(GuidedSearchFixture, CertificateAccountsForEveryProbe) {
-  const GuidedSearchOutcome outcome = run_oblivious(8);
+  const GuidedSearchOutcome outcome = run_oblivious();
   // seeds (population) + generations × population, ×trials each.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(params_.population) *
@@ -160,14 +197,13 @@ TEST_F(GuidedSearchFixture, CertificateAccountsForEveryProbe) {
 }
 
 TEST_F(GuidedSearchFixture, MatchesOrBeatsBlindSamplingAtEqualProbeBudget) {
-  const GuidedSearchOutcome guided = run_oblivious(16);
+  const GuidedSearchOutcome guided = run_oblivious();
   // Blind best-of-K sampling with the SAME number of candidate evaluations
   // (the probes then match exactly: candidates × trials_per_candidate).
   ObliviousSearchParams blind;
   blind.round_budget = params_.round_budget;
   blind.num_candidates = params_.population * (params_.generations + 1);
   blind.trials_per_candidate = params_.trials_per_candidate;
-  blind.batch_lanes = 16;
   Rng rng(1234);
   const ObliviousSearchOutcome sampled = search_oblivious_schedules(
       instance_.graph, source_, context_for(instance_), blind, rng);

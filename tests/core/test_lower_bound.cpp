@@ -1,5 +1,5 @@
-// Lower-bound machinery: oblivious sequence protocol, adversary searches,
-// Theorem 6 / 8 shape checks on small instances.
+// Lower-bound machinery: oblivious sequence protocol, the blind oblivious
+// search, and the diameter bound, checked on small instances.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -111,58 +111,6 @@ TEST(ObliviousSearch, NoCandidateCompletesWithinTinyBudget) {
   EXPECT_EQ(outcome.completed_fraction, 0.0);
   EXPECT_EQ(outcome.best_rounds, params.round_budget + 1);
   EXPECT_EQ(outcome.best_candidate, -1);
-}
-
-TEST(SmallSetAdversary, CannotFinishFastOnDenseGraph) {
-  Rng rng(8);
-  const NodeId n = 256;
-  const BroadcastInstance instance =
-      make_broadcast_instance(GnpParams{n, 0.5}, rng);
-  SmallSetAdversaryParams params;
-  params.round_budget = 5;  // ~ln n
-  params.num_schedules = 64;
-  const SmallSetAdversaryOutcome outcome =
-      probe_small_set_schedules(instance.graph, 0, params, rng);
-  // Theorem 6: essentially no schedule of <=2-sets completes in c*ln n.
-  EXPECT_EQ(outcome.completed_fraction, 0.0);
-  EXPECT_GT(outcome.mean_uninformed_left, 0.0);
-}
-
-TEST(SmallSetAdversary, EventuallyCompletesWithLargeBudget) {
-  Rng rng(9);
-  const NodeId n = 64;
-  const BroadcastInstance instance =
-      make_broadcast_instance(GnpParams{n, 0.5}, rng);
-  SmallSetAdversaryParams params;
-  params.round_budget = 600;
-  params.num_schedules = 16;
-  const SmallSetAdversaryOutcome outcome =
-      probe_small_set_schedules(instance.graph, 0, params, rng);
-  EXPECT_GT(outcome.completed_fraction, 0.5);
-  // ~log2 n scale at least (best-of-K on a tiny n gets lucky by a couple of
-  // rounds, hence the -2 slack).
-  EXPECT_GE(outcome.best_rounds,
-            static_cast<std::uint32_t>(std::log2(static_cast<double>(n))) - 2);
-}
-
-TEST(SmallSetAdversary, SingletonSetsOnPathTrackDiameter) {
-  // On a path with singleton transmissions the best possible is the
-  // diameter; the adversary transmits random informed singletons, so best
-  // over many schedules approaches it.
-  std::vector<Edge> edges;
-  const NodeId n = 8;
-  for (NodeId v = 0; v + 1 < n; ++v)
-    edges.push_back({v, static_cast<NodeId>(v + 1)});
-  const Graph g = Graph::from_edges(n, edges);
-  Rng rng(10);
-  SmallSetAdversaryParams params;
-  params.round_budget = 400;
-  params.num_schedules = 64;
-  params.max_set_size = 1;
-  const SmallSetAdversaryOutcome outcome =
-      probe_small_set_schedules(g, 0, params, rng);
-  EXPECT_GT(outcome.completed_fraction, 0.0);
-  EXPECT_GE(outcome.best_rounds, n - 1);  // cannot beat the diameter
 }
 
 TEST(DiameterBound, MatchesEccentricity) {

@@ -1,10 +1,11 @@
 // Structured topology generators: exact degree/size/diameter properties.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "graph/components.hpp"
 #include "graph/degree.hpp"
 #include "graph/diameter.hpp"
-#include "graph/statistics.hpp"
 #include "graph/topologies.hpp"
 
 namespace radio {
@@ -19,7 +20,10 @@ TEST(Hypercube, DimensionsThree) {
   EXPECT_EQ(s.max_degree, 3u);
   EXPECT_EQ(exact_diameter(g), 3u);
   EXPECT_TRUE(is_connected(g));
-  EXPECT_EQ(triangle_count(g), 0u);  // bipartite
+  // Bipartite by label parity: no edge joins two nodes on the same side.
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (NodeId w : g.neighbors(v))
+      EXPECT_NE(std::popcount(v) % 2, std::popcount(w) % 2);
 }
 
 TEST(Hypercube, DimensionOneIsAnEdge) {
